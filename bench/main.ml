@@ -34,7 +34,7 @@
                    Q1-Q4 read-path parity under strict, and recovery
                    time vs WAL length / snapshot
      vectorized    batch-size sweep on warm Q1, per-operator
-                   scalar-vs-batched EXPLAIN ANALYZE speedups, and a
+                   size-1-vs-default EXPLAIN ANALYZE speedups, and a
                    dictionary-encoding A/B
      micro         Bechamel micro-benchmarks of the core operators
 
@@ -1324,10 +1324,11 @@ let bench_micro () =
 
 (* ---------- vectorized execution ---------- *)
 
-(* Batch-at-a-time execution vs the scalar Volcano path, on the warm
-   plan-cache path of Q1 (so parse/bind/optimize/compile is out of the
-   measurement): a batch-size sweep, a per-operator breakdown under
-   instrumentation, and a dictionary-encoding A/B.  Runs at a floor of
+(* Default-size batches vs size-1 batches (the row-at-a-time
+   baseline), on the warm plan-cache path of Q1 (so
+   parse/bind/optimize/compile is out of the measurement): a batch-size
+   sweep, a per-operator breakdown under instrumentation, and a
+   dictionary-encoding A/B.  Runs at a floor of
    msf 0.5 — the CI gate reads the sweep's speedup, and sub-millisecond
    runs at tiny scale factors drown it in noise. *)
 let bench_vectorized ~msf ~repeat () =
@@ -1342,7 +1343,7 @@ let bench_vectorized ~msf ~repeat () =
      the settings so they see identical heap / clock drift, and each
      setting reports its median (GC work is part of what a setting
      costs, so a minimum would flatter the allocation-heavy paths). *)
-  let sizes = [| 0; 64; 256; 1024; 4096 |] in
+  let sizes = [| 1; 64; 256; 1024; 4096 |] in
   let rounds = max (3 * repeat) 21 in
   let db = Engine.create () in
   Engine.load_tpch db ~msf;
@@ -1368,28 +1369,28 @@ let bench_vectorized ~msf ~repeat () =
     List.nth sorted (List.length sorted / 2)
   in
   let medians = Array.map median samples in
-  let t_scalar = medians.(0) in
+  let t_size1 = medians.(0) in
   Format.printf "%-12s %14s %10s@." "batch size" "warm Q1 (ms)" "speedup";
   Array.iteri
     (fun i batch_size ->
       let t = medians.(i) in
       Format.printf "%-12d %14.2f %9.2fx@." batch_size (ms t)
-        (t_scalar /. t);
+        (t_size1 /. t);
       record ~section:"vectorized"
         ~query:(Printf.sprintf "q1-batch-%d" batch_size)
         [
           ("batch_size", Json.Int batch_size);
           ("warm_ms", Json.Float (ms t));
-          ("scalar_ms", Json.Float (ms t_scalar));
-          ("speedup", Json.Float (t_scalar /. t));
+          ("size1_ms", Json.Float (ms t_size1));
+          ("speedup", Json.Float (t_size1 /. t));
         ])
     sizes;
   (* per-operator breakdown: the same optimized Q1 plan compiled twice
-     (scalar and batched) under fresh metric sinks, paired by preorder
+     (size-1 and default batches) under fresh metric sinks, paired by preorder
      position.  The two compilations run interleaved so heap growth and
      GC slices land on both sides alike, and enough rounds that a
      single major collection cannot tilt a side's total. *)
-  Format.printf "@.Per-operator inclusive time, scalar vs batched:@.";
+  Format.printf "@.Per-operator inclusive time, size-1 vs default batches:@.";
   let cat = Tpch_gen.catalog ~msf () in
   let instrument_reps = max (5 * repeat) 25 in
   let instrumented_pair plan =
@@ -1402,7 +1403,7 @@ let bench_vectorized ~msf ~repeat () =
       in
       (sink, compiled)
     in
-    let sink_s, compiled_s = make 0
+    let sink_s, compiled_s = make 1
     and sink_b, compiled_b = make Batch.default_size in
     ignore (Executor.run_compiled cat compiled_s);
     ignore (Executor.run_compiled cat compiled_b);
@@ -1421,8 +1422,8 @@ let bench_vectorized ~msf ~repeat () =
     (flat sink_s, flat sink_b)
   in
   let plan = optimize cat (bind cat Workloads.q1_gapply) in
-  let scalar_ops, batched_ops = instrumented_pair plan in
-  Format.printf "%-28s %12s %13s %10s@." "" "scalar (ms)" "batched (ms)"
+  let size1_ops, batched_ops = instrumented_pair plan in
+  Format.printf "%-28s %12s %13s %10s@." "" "size 1 (ms)" "batched (ms)"
     "speedup";
   List.iter2
     (fun (depth, (s : Obs.stat)) (_, (b : Obs.stat)) ->
@@ -1435,11 +1436,11 @@ let bench_vectorized ~msf ~repeat () =
       record ~section:"vectorized" ~query:("operator-" ^ s.Obs.op)
         [
           ("depth", Json.Int depth);
-          ("scalar_ms", Json.Float t_s);
+          ("size1_ms", Json.Float t_s);
           ("batched_ms", Json.Float t_b);
           ("batches", Json.Int b.Obs.batches);
         ])
-    scalar_ops batched_ops;
+    size1_ops batched_ops;
   (* a straight scan→select→project→aggregate pipeline: the optimized
      Q1 plan folds its predicate into the join, so this is where the
      Select operator's own batch loop shows up in the breakdown *)
@@ -1449,7 +1450,7 @@ let bench_vectorized ~msf ~repeat () =
       (bind cat
          "select avg(ps_supplycost) from partsupp where ps_availqty > 500")
   in
-  let fscalar, fbatched = instrumented_pair fplan in
+  let fsize1, fbatched = instrumented_pair fplan in
   List.iter2
     (fun (depth, (s : Obs.stat)) (_, (b : Obs.stat)) ->
       let per_run ns = ms (float_of_int ns /. 1e9 /. float_of_int instrument_reps) in
@@ -1461,29 +1462,29 @@ let bench_vectorized ~msf ~repeat () =
       record ~section:"vectorized" ~query:("operator-" ^ s.Obs.op)
         [
           ("depth", Json.Int depth);
-          ("scalar_ms", Json.Float t_s);
+          ("size1_ms", Json.Float t_s);
           ("batched_ms", Json.Float t_b);
           ("batches", Json.Int b.Obs.batches);
         ])
-    fscalar fbatched;
+    fsize1 fbatched;
   (* headline: the root operator's inclusive time is the whole warm Q1
      execution in EXPLAIN ANALYZE terms — the per-operator gate's
      denominator.  (End-to-end engine time is the sweep above; the
      instrumented ratio is larger because per-row observation hooks are
      exactly the kind of per-tuple overhead batching amortizes.) *)
-  (match (scalar_ops, batched_ops) with
+  (match (size1_ops, batched_ops) with
   | (_, (root_s : Obs.stat)) :: _, (_, (root_b : Obs.stat)) :: _ ->
       let per_run ns = ms (float_of_int ns /. 1e9 /. float_of_int instrument_reps) in
       let t_s = per_run root_s.Obs.time_ns
       and t_b = per_run root_b.Obs.time_ns in
       Format.printf
-        "@.warm Q1, EXPLAIN ANALYZE terms: scalar %.3f ms  batched %.3f ms \
+        "@.warm Q1, EXPLAIN ANALYZE terms: size 1 %.3f ms  batched %.3f ms \
          %9.2fx@."
         t_s t_b
         (if t_b > 0. then t_s /. t_b else Float.nan);
       record ~section:"vectorized" ~query:"q1-warm-analyze"
         [
-          ("scalar_ms", Json.Float t_s);
+          ("size1_ms", Json.Float t_s);
           ("batched_ms", Json.Float t_b);
           ("speedup", Json.Float (if t_b > 0. then t_s /. t_b else 0.));
         ]

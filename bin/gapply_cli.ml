@@ -46,21 +46,41 @@ let is_plain_select src =
   | _ -> false
   | exception e when Errors.is_engine_error e -> false
 
+let report_error e = Format.printf "error: %s@." (Errors.to_string e)
+
+(* Raises the engine's parse / name / plan errors; the REPL reports them
+   and carries on, a script stops at the first one. *)
 let run_statement db ~timing ~analyze src =
+  let t0 = Unix.gettimeofday () in
+  if analyze && is_plain_select src then begin
+    let rel, report = Engine.analyze db src in
+    Format.printf "%a" Relation.pp rel;
+    Format.printf "%s" report;
+    if timing then
+      Format.printf "(%.1f ms)@." (1000. *. (Unix.gettimeofday () -. t0))
+  end
+  else
+    let outcome = Engine.exec db src in
+    print_outcome timing (Unix.gettimeofday () -. t0) outcome
+
+(* -f: every statement's output is printed before the next one runs.
+   A statement that fails with a typed outcome (a budget violation, a
+   bad SET value) prints its error and the script goes on; one that
+   cannot run at all (a syntax error anywhere in the script, an unknown
+   name) prints its error and stops the script: false. *)
+let run_script db ~analyze src =
   try
-    let t0 = Unix.gettimeofday () in
-    if analyze && is_plain_select src then begin
-      let rel, report = Engine.analyze db src in
-      Format.printf "%a" Relation.pp rel;
-      Format.printf "%s" report;
-      if timing then
-        Format.printf "(%.1f ms)@." (1000. *. (Unix.gettimeofday () -. t0))
-    end
-    else
-      let outcome = Engine.exec db src in
-      print_outcome timing (Unix.gettimeofday () -. t0) outcome
+    List.iter
+      (fun stmt ->
+        if analyze then
+          run_statement db ~timing:false ~analyze:true
+            (Sql_ast.statement_to_string stmt)
+        else print_outcome false 0. (Engine.exec_statement db stmt))
+      (Sql_parser.parse_script src);
+    true
   with e when Errors.is_engine_error e ->
-    Format.printf "error: %s@." (Errors.to_string e)
+    report_error e;
+    false
 
 (* REPL-local toggles (\q, \timing, \analyze) stay here; everything
    else goes through the shared Meta dispatcher (also used by the
@@ -112,7 +132,8 @@ let repl db ~analyze =
             then begin
               let src = Buffer.contents buf in
               Buffer.clear buf;
-              run_statement db ~timing:!timing ~analyze:!analyze src
+              try run_statement db ~timing:!timing ~analyze:!analyze src
+              with e when Errors.is_engine_error e -> report_error e
             end
           end
     done
@@ -172,8 +193,8 @@ let main tpch_msf partition no_optimize parallelism batch_size analyze
     exit 2
   end;
   (match batch_size with
-  | Some n when n < 0 ->
-      Format.eprintf "--batch-size must be >= 0 (0 = tuple-at-a-time)@.";
+  | Some n when n < 1 ->
+      Format.eprintf "--batch-size must be >= 1@.";
       exit 2
   | _ -> ());
   (match fault with
@@ -217,13 +238,10 @@ let main tpch_msf partition no_optimize parallelism batch_size analyze
       let n = in_channel_length ic in
       let src = really_input_string ic n in
       close_in ic;
-      if analyze then
-        List.iter
-          (fun stmt ->
-            run_statement db ~timing:false ~analyze:true
-              (Sql_ast.statement_to_string stmt))
-          (Sql_parser.parse_script src)
-      else List.iter (print_outcome false 0.) (Engine.exec_script db src)
+      if not (run_script db ~analyze src) then begin
+        Engine.close db;
+        exit 1
+      end
   | None -> repl db ~analyze);
   Engine.close db
 
@@ -250,10 +268,9 @@ let parallelism_arg =
 let batch_size_arg =
   Arg.(value & opt (some int) None
        & info [ "batch-size" ] ~docv:"N"
-           ~doc:"Rows per batch on the vectorized execution path \
-                 (0 = tuple-at-a-time).  Defaults to 128, or to \
-                 \\$(b,GAPPLY_BATCH) when set.  Also settable per \
-                 session with SET batch_size.")
+           ~doc:"Rows per batch between operators (at least 1).  \
+                 Defaults to 128, or to \\$(b,GAPPLY_BATCH) when set.  \
+                 Also settable per session with SET batch_size.")
 
 let analyze_arg =
   Arg.(value & flag

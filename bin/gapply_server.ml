@@ -85,6 +85,11 @@ let main listen http_port acceptors max_concurrent queue_depth
     Format.eprintf "--queue-depth must be >= 0@.";
     exit 2
   end;
+  (match batch_size with
+  | Some n when n < 1 ->
+      Format.eprintf "--batch-size must be >= 1@.";
+      exit 2
+  | _ -> ());
   (* Every OCaml-level handler needs a thread executing OCaml code to
      run, and a quiet server has all of its threads parked in blocking
      syscalls — a Sys.Signal_handle would sit undelivered.  So: block
@@ -289,7 +294,7 @@ let parallelism_arg =
 let batch_size_arg =
   Arg.(value & opt (some int) None
        & info [ "batch-size" ] ~docv:"N"
-           ~doc:"Rows per batch on the vectorized path.")
+           ~doc:"Rows per batch between operators (at least 1).")
 
 let cmd =
   let doc = "network server for the GApply engine (wire protocol + \

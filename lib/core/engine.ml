@@ -23,7 +23,7 @@ type t = {
   mutable cbo : bool;  (* cost-based choices: gated rewrites, join order,
                           costed partition strategy *)
   mutable parallelism : int;
-  mutable batch_size : int;  (* rows per batch; 0 = scalar execution *)
+  mutable batch_size : int;  (* rows per batch, >= 1 *)
   cache : Plan_cache.t;
   mutable cache_enabled : bool;
   ddl_lock : Mutex.t;  (* serializes DDL/DML statement bodies — under
@@ -125,11 +125,15 @@ let mvcc_enabled_from_env () =
   | Some ("off" | "0" | "false" | "no") -> false
   | _ -> true
 
+let check_batch_size n =
+  if n < 1 then invalid_arg (Printf.sprintf "batch_size %d < 1" n)
+
 let create ?(partition = Compile.Hash_partition) ?(optimize = true) ?cbo
     ?(parallelism = 1) ?(batch_size = Compile.default_batch_size)
     ?plan_cache ?(cache_capacity = 128) ?timeout_ms
     ?row_limit ?mem_limit ?data_dir ?durability ?wal_group_commit
     ?checkpoint_wal_bytes ?mvcc () =
+  check_batch_size batch_size;
   (* re-read the fault/crash environment on every engine, not only at
      module init: chaos harnesses create many engines per process, each
      wanting a freshly armed countdown *)
@@ -451,7 +455,9 @@ let set_optimize db b = db.optimize <- b
 let set_cbo db b = db.cbo <- b
 let cbo_enabled db = db.cbo
 let set_parallelism db n = db.parallelism <- n
-let set_batch_size db n = db.batch_size <- max 0 n
+let set_batch_size db n =
+  check_batch_size n;
+  db.batch_size <- n
 let batch_size db = db.batch_size
 
 let plan_cache db = db.cache
@@ -1080,17 +1086,14 @@ let apply_set sess name (v : Sql_ast.set_value) : outcome =
   match name with
   | "batch_size" -> (
       match v with
-      | Sql_ast.Set_int n when n >= 0 ->
+      | Sql_ast.Set_int n when n >= 1 ->
           set_batch_size db n;
           Message (Printf.sprintf "batch_size = %d" n)
-      | Sql_ast.Set_ident "off" ->
-          set_batch_size db 0;
-          Message "batch_size = 0"
       | Sql_ast.Set_default ->
           set_batch_size db Compile.default_batch_size;
           Message
             (Printf.sprintf "batch_size = %d" Compile.default_batch_size)
-      | _ -> bad_value "a non-negative integer, OFF, or DEFAULT")
+      | _ -> bad_value "a positive integer or DEFAULT")
   | "cbo" -> (
       match v with
       | Sql_ast.Set_ident ("on" | "true") | Sql_ast.Set_default ->
@@ -1434,19 +1437,19 @@ let exec_session sess src : outcome =
 (** Execute one SQL statement (on the engine's default session). *)
 let exec db src : outcome = exec_session (session db) src
 
-(** Execute a whole ';'-separated script, returning each outcome.
+(** Execute one parsed script statement on the default session.
     Queries are keyed on their printed (canonical) text, so a repeated
     script statement warms the same entries as {!exec}. *)
+let exec_statement db (stmt : Sql_ast.statement) : outcome =
+  match stmt with
+  | Sql_ast.Stmt_explain q ->
+      (* scripts keep the historical terse EXPLAIN rendering *)
+      Explanation (Plan.to_string (Sql_binder.bind_query db.catalog q))
+  | _ -> exec_stmt (session db) ~sql:(Sql_ast.statement_to_string stmt) stmt
+
+(** Execute a whole ';'-separated script, returning each outcome. *)
 let exec_script db src : outcome list =
-  let sess = session db in
-  List.map
-    (fun stmt ->
-      match stmt with
-      | Sql_ast.Stmt_explain q ->
-          (* scripts keep the historical terse EXPLAIN rendering *)
-          Explanation (Plan.to_string (Sql_binder.bind_query db.catalog q))
-      | _ -> exec_stmt sess ~sql:(Sql_ast.statement_to_string stmt) stmt)
-    (Sql_parser.parse_script src)
+  List.map (exec_statement db) (Sql_parser.parse_script src)
 
 (** Run a query and return the relation (raises on DDL). *)
 let query db src =

@@ -66,8 +66,9 @@ val create :
 (** A fresh engine with an empty catalog.  Defaults: hash-partitioned
     GApply, optimizer enabled, sequential execution.  [parallelism]
     follows {!Compile.config}: total domains, [0] = automatic.
-    [batch_size] sets the vectorized execution batch size (default
-    {!Compile.default_batch_size}; [0] = tuple-at-a-time).
+    [batch_size] sets the execution batch size (default
+    {!Compile.default_batch_size}); it must be at least [1], else
+    [Invalid_argument].
 
     The plan cache is on by default with a 128-entry LRU capacity; pass
     [~plan_cache:false] to force every execution down the cold path.
@@ -119,9 +120,9 @@ val cbo_enabled : t -> bool
 val set_parallelism : t -> int -> unit
 
 val set_batch_size : t -> int -> unit
-(** Rows per batch on the vectorized path ([0] = tuple-at-a-time;
-    negative values clamp to [0]).  Also settable per session with
-    [SET batch_size = <n> | OFF | DEFAULT]. *)
+(** Rows per batch, at least [1] (@raise Invalid_argument otherwise).
+    Also settable per session with [SET batch_size = <n> | DEFAULT]; a
+    value below [1] there is a typed [Type_error]. *)
 
 val batch_size : t -> int
 (** Compile knobs are part of the plan-cache key, so flipping one can
@@ -384,9 +385,14 @@ val exec : t -> string -> outcome
     PREPARE / EXECUTE / DEALLOCATE, transaction control, or DDL/DML)
     on the engine's default session. *)
 
+val exec_statement : t -> Sql_ast.statement -> outcome
+(** Execute one parsed script statement on the default session (EXPLAIN
+    renders the terse bound plan).  Raises like {!exec}. *)
+
 val exec_script : t -> string -> outcome list
 (** Execute a ';'-separated script (on the default session, so a script
-    can BEGIN ... COMMIT across its statements). *)
+    can BEGIN ... COMMIT across its statements): {!exec_statement} over
+    every statement, after parsing the whole script. *)
 
 (** {1 Sessions and transactions}
 

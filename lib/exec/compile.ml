@@ -1,7 +1,7 @@
 (* Logical-to-physical compilation.
 
    [plan] turns a logical plan into a [compiled] value once; the returned
-   [run] closure can then be executed many times under different
+   closures can then be executed many times under different
    environments — which is exactly what Apply (per outer row) and GApply
    (per group) do.
 
@@ -11,14 +11,11 @@
    the relation-valued variable and re-runs the compiled per-group
    query.
 
-   Execution is vectorized when [config.batch_size > 0]: operators that
-   have a batch implementation also expose [brun], a cursor over
-   [Batch.t] row arrays, and consume their children batch-wise
-   ([brun_of] falls back to packing a scalar child, so the batch path
-   covers whole pipelines even when one operator in the middle only has
-   a scalar implementation).  The scalar [run] of a batched operator is
-   derived from [brun] through [Batch.to_cursor], so both entry points
-   execute — and meter — the same code. *)
+   Every operator has exactly one implementation, a batch cursor
+   ([brun]) over [Batch.t] row arrays of up to [config.batch_size] rows.
+   The tuple-at-a-time [run] is only an adapter for row consumers at the
+   root (the tagger, client-side GApply, benchmarks): it unbatches the
+   root's [brun] through [Batch.to_cursor]. *)
 
 type partition_strategy = Sort_partition | Hash_partition
 
@@ -34,26 +31,27 @@ type config = {
       (* total domains (submitter included) for the partition and
          execution phases of GApply/Group_by: 1 = sequential,
          0 = automatic (Domain.recommended_domain_count) *)
-  batch_size : int;
-      (* rows per batch on the vectorized path; 0 compiles the classic
-         tuple-at-a-time operators only *)
+  batch_size : int;  (* rows per batch, >= 1 *)
   observe : Obs.t option;
       (* per-operator metrics sink (EXPLAIN ANALYZE / --analyze).  None
          compiles exactly the uninstrumented operators — zero overhead
-         on the per-tuple path when tracing is off. *)
+         on the per-batch path when tracing is off. *)
 }
 
-(* The GAPPLY_BATCH switch is read once at startup: "off"/"0" forces
-   scalar execution everywhere batch_size is defaulted (the CI replay
-   that proves batch ≡ scalar), an integer overrides the batch size. *)
+(* The GAPPLY_BATCH switch is read once at startup: a positive integer
+   overrides the batch size.  Anything else stops the process, so a
+   mistyped setting can never silently run as the default
+   configuration. *)
 let default_batch_size =
   match Sys.getenv_opt "GAPPLY_BATCH" with
-  | Some ("off" | "0" | "false" | "no") -> 0
+  | None -> Batch.default_size
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | _ -> Batch.default_size)
-  | None -> Batch.default_size
+      | Some n when n >= 1 -> n
+      | _ ->
+          Printf.eprintf
+            "GAPPLY_BATCH=%S: expected a positive integer batch size\n%!" s;
+          exit 2)
 
 let default_config =
   {
@@ -68,6 +66,9 @@ let default_config =
 let config_with ?(partition = Hash_partition) ?(apply_cache = true)
     ?(use_indexes = true) ?(parallelism = 1)
     ?(batch_size = default_batch_size) ?observe () =
+  if batch_size < 1 then
+    invalid_arg
+      (Printf.sprintf "Compile.config_with: batch_size %d < 1" batch_size);
   { partition; apply_cache; use_indexes; parallelism; batch_size; observe }
 
 (* the Obs node of the operator currently being compiled (used by the
@@ -78,20 +79,8 @@ let obs_current config =
 type compiled = {
   schema : Schema.t;
   run : Env.t -> Cursor.t;
-  brun : (Env.t -> Batch.cursor) option;
-      (* vectorized entry point; present when the operator compiled a
-         batch implementation (batch_size > 0) *)
+  brun : Env.t -> Batch.cursor;
 }
-
-let batched config = config.batch_size > 0
-let bsize config = config.batch_size
-
-(* Batch view of any child: native when it has one, otherwise the
-   scalar cursor packed into batches. *)
-let brun_of ~size (c : compiled) env : Batch.cursor =
-  match c.brun with
-  | Some b -> b env
-  | None -> Batch.of_cursor ~size (c.run env)
 
 (* ---------- helpers ---------- *)
 
@@ -234,58 +223,130 @@ let compile_agg_args schema (aggs : (Expr.agg * string) list) =
       (a, Option.map (Eval.compile schema) a.Expr.arg))
     aggs
 
+(* The inner side of a nested-loops expansion: one result shared by
+   every outer row (a cached Apply inner, a nested-loop join's
+   materialized right side — forced when the first outer row arrives),
+   or a cursor started per outer row (a correlated Apply inner). *)
+type inner =
+  | Shared of Tuple.t array Lazy.t
+  | Per_row of (Tuple.t -> Batch.cursor)
+
+(* Nested-loops expansion shared by Apply and the nested-loop join: for
+   every row [l] of [outer], every row [r] of the inner side yields
+   [Tuple.concat l r] (when [keep] accepts it).  Output rows are
+   compacted into batches of at most [size] rows, so a wide fan-out
+   (a cross product, a correlated inner per outer row) streams in
+   bounded batches instead of one array per outer batch. *)
+let expand ~size ?keep (inner : inner) (outer : Batch.cursor) : Batch.cursor =
+  let shared =
+    lazy
+      (match inner with
+      | Shared rows ->
+          let rows = Lazy.force rows in
+          if Array.length rows = 0 then None
+          else Some { Batch.rows; pos = 0; len = Array.length rows }
+      | Per_row _ -> None)
+  in
+  let ob = ref None and oi = ref 0 in
+  let lrow = ref Tuple.empty in
+  let ic = ref None in
+  let ib = ref None and ii = ref 0 in
+  let finished = ref false in
+  fun () ->
+    if !finished then None
+    else begin
+      let buf = ref (Array.make (min size 64) Tuple.empty) in
+      let n = ref 0 in
+      let push row =
+        if !n = Array.length !buf then begin
+          let bigger = Array.make (min size (2 * !n)) Tuple.empty in
+          Array.blit !buf 0 bigger 0 !n;
+          buf := bigger
+        end;
+        Array.unsafe_set !buf !n row;
+        incr n
+      in
+      let rec fill () =
+        if !n < size then
+          match !ib with
+          | Some (b : Batch.t) when !ii < b.Batch.len ->
+              while !n < size && !ii < b.Batch.len do
+                let joined = Tuple.concat !lrow (Batch.get b !ii) in
+                incr ii;
+                match keep with
+                | Some keep when not (keep joined) -> ()
+                | _ -> push joined
+              done;
+              fill ()
+          | _ -> (
+              match !ic with
+              | Some c -> (
+                  match c () with
+                  | Some b ->
+                      ib := Some b;
+                      ii := 0;
+                      fill ()
+                  | None ->
+                      ic := None;
+                      ib := None;
+                      fill ())
+              | None -> (
+                  match !ob with
+                  | Some (b : Batch.t) when !oi < b.Batch.len ->
+                      lrow := Batch.get b !oi;
+                      incr oi;
+                      (match inner with
+                      | Shared _ -> ib := Lazy.force shared
+                      | Per_row f -> ic := Some (f !lrow));
+                      ii := 0;
+                      fill ()
+                  | _ -> (
+                      match outer () with
+                      | Some b ->
+                          ob := Some b;
+                          oi := 0;
+                          fill ()
+                      | None ->
+                          ob := None;
+                          finished := true)))
+      in
+      fill ();
+      if !n = 0 then None else Some { Batch.rows = !buf; pos = 0; len = !n }
+    end
+
 (* ---------- the compiler ---------- *)
 
 (* [plan] is the public entry: with a metrics sink in the config it
    registers one Obs node per operator (the metric tree mirrors the plan
    tree, since [compile] recurses through [plan] for every child) and
-   wraps the operator's cursor with the metering pull; without a sink it
-   is exactly [compile].
+   wraps the operator's batch cursor with the metering pull; without a
+   sink it is exactly [compile].
 
    Every operator additionally gets the resource governor's cooperative
-   wrapper: when the environment carries a governor, each pull checks
-   the cancellation token and the wall-clock deadline (and reports the
-   fault harness's Open/Next/Close sites).  Ungoverned runs pay one
-   [match] per operator invocation and nothing per tuple.
+   wrapper: when the environment carries a governor, each batch pull
+   checks the cancellation token and the wall-clock deadline (and
+   reports the fault harness's Open/Next/Close sites).  Ungoverned runs
+   pay one [match] per operator invocation and nothing per batch.
 
-   A batched operator is wrapped once, on its batch cursor — checks,
-   metering and fault sites fire per batch — and its scalar [run] is
-   re-derived from the wrapped [brun] through [Batch.to_cursor], so the
-   two entry points can never drift apart. *)
+   The row adapter [run] is built here once, over the wrapped [brun],
+   so it executes — and meters — exactly the batch code. *)
 let rec plan ?(config = default_config) ?(outer : Schema.t list = [])
     (p : Plan.t) : compiled =
   let op = Plan.op_name p in
-  let finish node (c : compiled) =
-    match c.brun with
-    | None ->
-        let run env =
-          let pull = c.run env in
-          let pull =
-            match node with
-            | None -> pull
-            | Some (sink, n) -> Obs.instrument sink n pull
-          in
-          Governor.guard env.Env.governor ~op pull
-        in
-        { c with run }
-    | Some b ->
-        let brun env =
-          let pull = b env in
-          let pull =
-            match node with
-            | None -> pull
-            | Some (sink, n) ->
-                Obs.instrument_batch sink n
-                  ~len:(fun (bt : Batch.t) -> bt.Batch.len)
-                  pull
-          in
-          Governor.guard env.Env.governor ~op pull
-        in
-        {
-          c with
-          run = (fun env -> Batch.to_cursor (brun env));
-          brun = Some brun;
-        }
+  let finish node (schema, body) =
+    let brun env =
+      let pull = body env in
+      let pull =
+        match node with
+        | None -> pull
+        | Some (sink, n) ->
+            Obs.instrument_batch sink n
+              ~len:(fun (bt : Batch.t) -> bt.Batch.len)
+              pull
+      in
+      Governor.guard env.Env.governor ~op pull
+    in
+    { schema; brun; run = (fun env -> Batch.to_cursor (brun env)) }
   in
   match config.observe with
   | None -> finish None (compile ~config ~outer p)
@@ -293,55 +354,31 @@ let rec plan ?(config = default_config) ?(outer : Schema.t list = [])
       Obs.enter sink ~op (fun node ->
           finish (Some (sink, node)) (compile ~config ~outer p))
 
-and compile ~config ~(outer : Schema.t list) (p : Plan.t) : compiled =
+and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
+    Schema.t * (Env.t -> Batch.cursor) =
   let schema = Props.schema_of ~outer p in
+  let size = config.batch_size in
   match p with
   | Plan.Table_scan { table; _ } ->
       (* visibility is resolved per run from the environment's snapshot,
          so the compiled closure is snapshot-agnostic and one cached
          plan serves every session *)
-      let scan_rows env =
-        let t = Catalog.find_table env.Env.catalog table in
-        match env.Env.snapshot with
-        | None -> Relation.rows_array (Table.to_relation t)
-        | Some snap -> Mvcc.visible_rows snap t
-      in
-      {
-        schema;
-        run = (fun env -> Cursor.of_array (scan_rows env));
-        brun =
-          (if not (batched config) then None
-           else
-             Some (fun env -> Batch.of_array ~size:(bsize config) (scan_rows env)));
-      }
+      ( schema,
+        fun env ->
+          let t = Catalog.find_table env.Env.catalog table in
+          Batch.of_array ~size
+            (match env.Env.snapshot with
+            | None -> Relation.rows_array (Table.to_relation t)
+            | Some snap -> Mvcc.visible_rows snap t) )
   | Plan.Group_scan { var; _ } ->
-      {
-        schema;
-        run = (fun env -> Cursor.of_relation (Env.find_group env var));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.of_array ~size:(bsize config)
-                   (Relation.rows_array (Env.find_group env var))));
-      }
+      ( schema,
+        fun env ->
+          Batch.of_array ~size (Relation.rows_array (Env.find_group env var))
+      )
   | Plan.Select { pred; input } ->
       let c = plan ~config ~outer input in
       let test = Eval.compile_pred c.schema pred in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.filter (test env.Env.frames) (c.run env));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.filter (test env.Env.frames)
-                   (brun_of ~size:(bsize config) c env)));
-      }
+      (schema, fun env -> Batch.filter (test env.Env.frames) (c.brun env))
   | Plan.Project { items; input } ->
       let c = plan ~config ~outer input in
       let compiled_items =
@@ -357,169 +394,104 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) : compiled =
         done;
         (out : Tuple.t)
       in
-      {
-        schema;
-        run = (fun env -> Cursor.map (project env.Env.frames) (c.run env));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.map (project env.Env.frames)
-                   (brun_of ~size:(bsize config) c env)));
-      }
-  | Plan.Join { pred; left; right; _ } -> compile_join ~config ~outer pred left right
+      (schema, fun env -> Batch.map (project env.Env.frames) (c.brun env))
+  | Plan.Join { pred; left; right; _ } ->
+      compile_join ~config ~outer pred left right
   | Plan.Alias { input; _ } ->
       let c = plan ~config ~outer input in
-      { schema; run = c.run; brun = c.brun }
+      (schema, c.brun)
   | Plan.Group_by { keys; aggs; input } ->
       let c = plan ~config ~outer input in
       let idxs = key_indexes c.schema keys in
       let specs = compile_agg_args c.schema aggs in
       let obs_node = obs_current config in
-      (* partition + aggregate a materialized input; shared by the
-         scalar and batch entry points *)
-      let compute env pool gov (rows : Tuple.t array) : Tuple.t array =
-        let groups =
-          group_rows ?pool ?gov ~op:"groupby.partition" ~idxs rows
-        in
-        Option.iter
-          (fun n -> Obs.add_partitions n (List.length groups))
-          obs_node;
-        let finish (key, members) =
-          Tuple.concat key (run_aggregates specs env.Env.frames members)
-        in
-        match (pool, groups) with
-        | Some pool, _ :: _ :: _ ->
-            (* groups are independent: aggregate each on the pool,
-               emitting results in group order *)
-            Domain_pool.parallel_map_array pool finish (Array.of_list groups)
-        | _ -> Array.of_list (List.map finish groups)
-      in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.deferred (fun () ->
-                let pool = Domain_pool.for_parallelism config.parallelism in
-                let gov = env.Env.governor in
-                let rows =
-                  Cursor.to_array
-                    ?account:(Governor.accountant gov ~op:"groupby.input")
-                    (c.run env)
-                in
-                Cursor.of_array (compute env pool gov rows)));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.deferred (fun () ->
-                     let pool =
-                       Domain_pool.for_parallelism config.parallelism
-                     in
-                     let gov = env.Env.governor in
-                     let rows =
-                       Batch.to_array
-                         ?account:
-                           (Governor.batch_accountant gov ~op:"groupby.input")
-                         (brun_of ~size:(bsize config) c env)
-                     in
-                     Batch.of_array ~size:(bsize config)
-                       (compute env pool gov rows))));
-      }
+      ( schema,
+        fun env ->
+          Batch.deferred (fun () ->
+              let pool = Domain_pool.for_parallelism config.parallelism in
+              let gov = env.Env.governor in
+              let rows =
+                Batch.to_array
+                  ?account:(Governor.batch_accountant gov ~op:"groupby.input")
+                  (c.brun env)
+              in
+              let groups =
+                group_rows ?pool ?gov ~op:"groupby.partition" ~idxs rows
+              in
+              Option.iter
+                (fun n -> Obs.add_partitions n (List.length groups))
+                obs_node;
+              let finish (key, members) =
+                Tuple.concat key (run_aggregates specs env.Env.frames members)
+              in
+              Batch.of_array ~size
+                (match (pool, groups) with
+                | Some pool, _ :: _ :: _ ->
+                    (* groups are independent: aggregate each on the
+                       pool, emitting results in group order *)
+                    Domain_pool.parallel_map_array pool finish
+                      (Array.of_list groups)
+                | _ -> Array.of_list (List.map finish groups))) )
   | Plan.Aggregate { aggs; input } ->
       let c = plan ~config ~outer input in
-      let specs = compile_agg_args c.schema aggs in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.deferred (fun () ->
-                let rows =
-                  Array.to_list
-                    (Cursor.to_array
-                       ?account:
-                         (Governor.accountant env.Env.governor
-                            ~op:"aggregate.input")
-                       (c.run env))
-                in
-                Cursor.singleton (run_aggregates specs env.Env.frames rows)));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.deferred (fun () ->
-                     (* stream batches straight into the accumulators —
-                        no materialized input.  The scalar path buffers,
-                        so the same bytes are still charged batch-wise:
-                        a memory ceiling means the same thing under
-                        either execution mode. *)
-                     let account =
-                       Governor.batch_accountant env.Env.governor
-                         ~op:"aggregate.input"
-                     in
-                     let specs_a = Array.of_list specs in
-                     let n = Array.length specs_a in
-                     let states =
-                       Array.map (fun (spec, _) -> Agg_state.create spec)
-                         specs_a
-                     in
-                     let frames = env.Env.frames in
-                     let bc = brun_of ~size:(bsize config) c env in
-                     let rec drain () =
-                       match bc () with
-                       | None -> ()
-                       | Some b ->
-                           (match account with
-                           | None -> ()
-                           | Some f -> f b.Batch.rows b.Batch.pos b.Batch.len);
-                           Batch.iter
-                             (fun row ->
-                               for j = 0 to n - 1 do
-                                 let v =
-                                   match snd (Array.unsafe_get specs_a j) with
-                                   | None -> Value.Null
-                                   | Some ce -> ce frames row
-                                 in
-                                 Agg_state.add (Array.unsafe_get states j) v
-                               done)
-                             b;
-                           drain ()
-                     in
-                     drain ();
-                     Batch.of_array ~size:(bsize config)
-                       [| Array.map Agg_state.finish states |])));
-      }
+      let specs = Array.of_list (compile_agg_args c.schema aggs) in
+      let n = Array.length specs in
+      ( schema,
+        fun env ->
+          Batch.deferred (fun () ->
+              (* stream batches straight into the accumulators — no
+                 materialized input, but the bytes are still charged
+                 batch-wise, so a memory ceiling means the same thing
+                 as for a materializing operator *)
+              let account =
+                Governor.batch_accountant env.Env.governor
+                  ~op:"aggregate.input"
+              in
+              let states =
+                Array.map (fun (spec, _) -> Agg_state.create spec) specs
+              in
+              let frames = env.Env.frames in
+              let bc = c.brun env in
+              let rec drain () =
+                match bc () with
+                | None -> ()
+                | Some b ->
+                    (match account with
+                    | None -> ()
+                    | Some f -> f b.Batch.rows b.Batch.pos b.Batch.len);
+                    Batch.iter
+                      (fun row ->
+                        for j = 0 to n - 1 do
+                          let v =
+                            match snd (Array.unsafe_get specs j) with
+                            | None -> Value.Null
+                            | Some ce -> ce frames row
+                          in
+                          Agg_state.add (Array.unsafe_get states j) v
+                        done)
+                      b;
+                    drain ()
+              in
+              drain ();
+              Batch.of_array ~size [| Array.map Agg_state.finish states |]) )
   | Plan.Distinct input ->
       let c = plan ~config ~outer input in
-      (* one seen-set per invocation, shared by whichever entry point
-         runs (only one does) *)
-      let make_pred env =
-        let seen = Tuple.Tbl.create 64 in
-        let account =
-          Governor.accountant env.Env.governor ~op:"distinct.hash"
-        in
-        fun row ->
-          if Tuple.Tbl.mem seen row then false
-          else begin
-            Option.iter (fun f -> f row) account;
-            Tuple.Tbl.add seen row ();
-            true
-          end
-      in
-      {
-        schema;
-        run = (fun env -> Cursor.filter (make_pred env) (c.run env));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.filter (make_pred env)
-                   (brun_of ~size:(bsize config) c env)));
-      }
+      ( schema,
+        fun env ->
+          (* one seen-set per invocation *)
+          let seen = Tuple.Tbl.create 64 in
+          let account =
+            Governor.accountant env.Env.governor ~op:"distinct.hash"
+          in
+          Batch.filter
+            (fun row ->
+              if Tuple.Tbl.mem seen row then false
+              else begin
+                Option.iter (fun f -> f row) account;
+                Tuple.Tbl.add seen row ();
+                true
+              end)
+            (c.brun env) )
   | Plan.Order_by { keys; input } ->
       let c = plan ~config ~outer input in
       let compiled_keys =
@@ -562,51 +534,20 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) : compiled =
           arr;
         Array.map (fun (_, (_, row)) -> row) arr
       in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.deferred (fun () ->
-                let rows =
-                  Cursor.to_array
-                    ?account:
-                      (Governor.accountant env.Env.governor
-                         ~op:"orderby.input")
-                    (c.run env)
-                in
-                Cursor.of_array (sort_rows env rows)));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.deferred (fun () ->
-                     let rows =
-                       Batch.to_array
-                         ?account:
-                           (Governor.batch_accountant env.Env.governor
-                              ~op:"orderby.input")
-                         (brun_of ~size:(bsize config) c env)
-                     in
-                     Batch.of_array ~size:(bsize config) (sort_rows env rows))));
-      }
+      ( schema,
+        fun env ->
+          Batch.deferred (fun () ->
+              let rows =
+                Batch.to_array
+                  ?account:
+                    (Governor.batch_accountant env.Env.governor
+                       ~op:"orderby.input")
+                  (c.brun env)
+              in
+              Batch.of_array ~size (sort_rows env rows)) )
   | Plan.Union_all branches ->
       let cs = List.map (plan ~config ~outer) branches in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.concat (List.map (fun c () -> c.run env) cs));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.concat
-                   (List.map
-                      (fun c () -> brun_of ~size:(bsize config) c env)
-                      cs)));
-      }
+      (schema, fun env -> Batch.concat (List.map (fun c () -> c.brun env) cs))
   | Plan.Apply { outer = outer_plan; inner } ->
       let co = plan ~config ~outer outer_plan in
       let ci = plan ~config ~outer:(co.schema :: outer) inner in
@@ -624,69 +565,41 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) : compiled =
           (Plan.outer_refs inner)
       in
       if correlated || not config.apply_cache then
-        {
-          schema;
-          run =
-            (fun env ->
-              Cursor.concat_map
-                (fun outer_row ->
-                  let env' = Env.push_frame co.schema outer_row env in
-                  Cursor.map (Tuple.concat outer_row) (ci.run env'))
-                (co.run env));
-          brun = None;
-        }
+        ( schema,
+          fun env ->
+            expand ~size
+              (Per_row
+                 (fun outer_row ->
+                   ci.brun (Env.push_frame co.schema outer_row env)))
+              (co.brun env) )
       else
-        {
-          schema;
-          run =
-            (fun env ->
-              Cursor.deferred (fun () ->
-                  let inner_rows =
-                    lazy
-                      (Cursor.to_array
-                         ?account:
-                           (Governor.accountant env.Env.governor
-                              ~op:"apply.cache")
-                         (ci.run env))
-                  in
-                  Cursor.concat_map
-                    (fun outer_row ->
-                      Cursor.map (Tuple.concat outer_row)
-                        (Cursor.of_array (Lazy.force inner_rows)))
-                    (co.run env)));
-          brun = None;
-        }
+        ( schema,
+          fun env ->
+            (* forced by the first outer row: an empty outer never runs
+               the inner *)
+            let inner_rows =
+              lazy
+                (Batch.to_array
+                   ?account:
+                     (Governor.batch_accountant env.Env.governor
+                        ~op:"apply.cache")
+                   (ci.brun env))
+            in
+            expand ~size (Shared inner_rows) (co.brun env) )
   | Plan.Exists { input; negated } ->
       let c = plan ~config ~outer input in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.deferred (fun () ->
-                let nonempty = c.run env () <> None in
-                if nonempty <> negated then Cursor.singleton Tuple.empty
-                else Cursor.empty));
-        brun = None;
-      }
+      ( schema,
+        fun env ->
+          Batch.deferred (fun () ->
+              (* one batch decides it; the probe is abandoned unclosed *)
+              let nonempty = c.brun env () <> None in
+              if nonempty <> negated then Batch.of_array [| Tuple.empty |]
+              else fun () -> None) )
   | Plan.G_apply { gcols; var; outer = outer_plan; pgq; cluster } ->
       let co = plan ~config ~outer outer_plan in
       let cp = plan ~config ~outer pgq in
       let idxs = key_indexes co.schema gcols in
       let obs_node = obs_current config in
-      (* partition a materialized outer, report and order the groups;
-         shared by the scalar and batch entry points *)
-      let prepare ?pool ?gov rows =
-        let groups = partition ~config ?pool ?gov ~idxs rows in
-        Option.iter
-          (fun n -> Obs.add_partitions n (List.length groups))
-          obs_node;
-        (* the Section 3.1 clustering guarantee: emit groups in key
-           order; sort partitioning already provides it, hash
-           partitioning orders the (small) group list *)
-        if cluster && config.partition = Hash_partition then
-          List.sort (fun (a, _) (b, _) -> Tuple.compare a b) groups
-        else groups
-      in
       (* each group is materialised as a temporary relation (rows are
          copied into it, as the paper's execution phase describes) — so
          the width of the outer input is a real cost and the
@@ -707,96 +620,58 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) : compiled =
               done);
           (key, Env.bind_group var (Relation.of_array co.schema arr) env)
       in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.deferred (fun () ->
-                let pool = Domain_pool.for_parallelism config.parallelism in
-                let gov = env.Env.governor in
-                let rows =
-                  Cursor.to_array
-                    ?account:
-                      (Governor.accountant gov ~op:"gapply.materialize")
-                    (co.run env)
-                in
-                let groups = prepare ?pool ?gov rows in
-                let bind = make_bind env gov in
-                let run_group g =
-                  let key, env' = bind g in
-                  Cursor.map (Tuple.concat key) (cp.run env')
-                in
-                match (pool, groups) with
-                | Some pool, _ :: _ :: _ ->
-                    (* parallel execution phase: groups share no state
-                       (the per-group semantics are order-independent),
-                       so each group's compiled PGQ runs on the pool
-                       against its own immutable Env.  Results are
-                       materialised per group and concatenated in group
-                       order, keeping the output tuple-identical to the
-                       sequential path — including the clustering
-                       guarantee above. *)
-                    let exec_account =
-                      Governor.accountant gov ~op:"gapply.exec"
-                    in
-                    let per_group =
-                      Domain_pool.parallel_map_array pool
-                        (fun g ->
-                          Cursor.to_array ?account:exec_account (run_group g))
-                        (Array.of_list groups)
-                    in
-                    Cursor.concat
-                      (List.map
-                         (fun rows () -> Cursor.of_array rows)
-                         (Array.to_list per_group))
-                | _ ->
-                    Cursor.concat
-                      (List.map (fun g () -> run_group g) groups)));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.deferred (fun () ->
-                     let pool =
-                       Domain_pool.for_parallelism config.parallelism
-                     in
-                     let gov = env.Env.governor in
-                     let rows =
-                       Batch.to_array
-                         ?account:
-                           (Governor.batch_accountant gov
-                              ~op:"gapply.materialize")
-                         (brun_of ~size:(bsize config) co env)
-                     in
-                     let groups = prepare ?pool ?gov rows in
-                     let bind = make_bind env gov in
-                     let run_group g =
-                       let key, env' = bind g in
-                       Batch.map (Tuple.concat key)
-                         (brun_of ~size:(bsize config) cp env')
-                     in
-                     match (pool, groups) with
-                     | Some pool, _ :: _ :: _ ->
-                         let exec_account =
-                           Governor.batch_accountant gov ~op:"gapply.exec"
-                         in
-                         let per_group =
-                           Domain_pool.parallel_map_array pool
-                             (fun g ->
-                               Batch.to_array ?account:exec_account
-                                 (run_group g))
-                             (Array.of_list groups)
-                         in
-                         Batch.concat
-                           (List.map
-                              (fun rows () ->
-                                Batch.of_array ~size:(bsize config) rows)
-                              (Array.to_list per_group))
-                     | _ ->
-                         Batch.concat
-                           (List.map (fun g () -> run_group g) groups))));
-      }
+      ( schema,
+        fun env ->
+          Batch.deferred (fun () ->
+              let pool = Domain_pool.for_parallelism config.parallelism in
+              let gov = env.Env.governor in
+              let rows =
+                Batch.to_array
+                  ?account:
+                    (Governor.batch_accountant gov ~op:"gapply.materialize")
+                  (co.brun env)
+              in
+              let groups = partition ~config ?pool ?gov ~idxs rows in
+              Option.iter
+                (fun n -> Obs.add_partitions n (List.length groups))
+                obs_node;
+              (* the Section 3.1 clustering guarantee: emit groups in key
+                 order; sort partitioning already provides it, hash
+                 partitioning orders the (small) group list *)
+              let groups =
+                if cluster && config.partition = Hash_partition then
+                  List.sort (fun (a, _) (b, _) -> Tuple.compare a b) groups
+                else groups
+              in
+              let bind = make_bind env gov in
+              let run_group g =
+                let key, env' = bind g in
+                Batch.map (Tuple.concat key) (cp.brun env')
+              in
+              match (pool, groups) with
+              | Some pool, _ :: _ :: _ ->
+                  (* parallel execution phase: groups share no state (the
+                     per-group semantics are order-independent), so each
+                     group's compiled PGQ runs on the pool against its
+                     own immutable Env.  Results are materialised per
+                     group and concatenated in group order, keeping the
+                     output tuple-identical to the sequential path —
+                     including the clustering guarantee above. *)
+                  let exec_account =
+                    Governor.batch_accountant gov ~op:"gapply.exec"
+                  in
+                  let per_group =
+                    Domain_pool.parallel_map_array pool
+                      (fun g ->
+                        Batch.to_array ?account:exec_account (run_group g))
+                      (Array.of_list groups)
+                  in
+                  Batch.concat
+                    (List.map
+                       (fun rows () -> Batch.of_array ~size rows)
+                       (Array.to_list per_group))
+              | _ -> Batch.concat (List.map (fun g () -> run_group g) groups))
+      )
 
 (* Partition phase of GApply.  Hash partitioning groups rows in
    first-seen order; sort partitioning additionally clusters the output
@@ -846,14 +721,15 @@ and partition ~config ?pool ?gov ~idxs (rows : Tuple.t array) :
    NULL key are dropped from both build and probe sides of the hash
    join.
 
-   The vectorized probe consumes the left side batch-wise and expands
-   matches into compacted output batches; a single-component key probes
-   a [Value.Tbl] (hash build) or the index's [Value]-keyed bucket
+   The probe consumes the left side batch-wise and expands matches into
+   compacted output batches; a single-component key probes a
+   [Value.Tbl] (hash build) or the index's [Value]-keyed bucket
    directly, with no per-row key tuple.  Matches are yielded
-   push-style into the consumer — the scalar path buffers them per
-   left row, the batch path streams them straight into its output
-   buffer. *)
-and compile_join ~config ~outer pred left right : compiled =
+   push-style straight into the output buffer.  Without equi-pairs the
+   join is a nested loop over the materialized right side, streamed in
+   bounded batches by [expand]. *)
+and compile_join ~config ~outer pred left right :
+    Schema.t * (Env.t -> Batch.cursor) =
   let cl = plan ~config ~outer left in
   let cr = plan ~config ~outer right in
   let schema = Schema.concat cl.schema cr.schema in
@@ -869,26 +745,19 @@ and compile_join ~config ~outer pred left right : compiled =
     match residual_test with None -> true | Some test -> test frames row
   in
   if equi = [] then
-    {
-      schema;
-      run =
-        (fun env ->
-          Cursor.deferred (fun () ->
-              let right_rows =
-                Cursor.to_array
-                  ?account:
-                    (Governor.accountant env.Env.governor
-                       ~op:"join.materialize")
-                  (cr.run env)
-              in
-              Cursor.concat_map
-                (fun lrow ->
-                  Cursor.filter (keep env.Env.frames)
-                    (Cursor.map (Tuple.concat lrow)
-                       (Cursor.of_array right_rows)))
-                (cl.run env)));
-      brun = None;
-    }
+    ( schema,
+      fun env ->
+        Batch.deferred (fun () ->
+            let right_rows =
+              Batch.to_array
+                ?account:
+                  (Governor.batch_accountant env.Env.governor
+                     ~op:"join.materialize")
+                (cr.brun env)
+            in
+            expand ~size:config.batch_size ~keep:(keep env.Env.frames)
+              (Shared (Lazy.from_val right_rows))
+              (cl.brun env)) )
   else
     let left_keys =
       List.map (fun (a, _, _) -> Eval.compile cl.schema a) equi
@@ -1066,24 +935,11 @@ and compile_join ~config ~outer pred left right : compiled =
             else ()
     in
     (* expand left rows against a per-row match yielder (right-side
-       rows in bucket order); shared by the hash and index-probe paths *)
-    let probe_cursor frames (matches : Tuple.t -> (Tuple.t -> unit) -> unit)
-        lc =
-      Cursor.concat_map
-        (fun lrow ->
-          let acc = ref [] in
-          matches lrow (fun rrow ->
-              let joined = Tuple.concat lrow rrow in
-              if keep frames joined then acc := joined :: !acc);
-          match !acc with
-          | [] -> Cursor.empty
-          | joined -> Cursor.of_list (List.rev joined))
-        lc
-    in
-    (* same expansion batch-wise: each left batch compacts its joined
-       rows into one output batch (empty expansions pull the next left
-       batch, so emitted batches are never empty); matches stream
-       straight into the output buffer, no per-row bucket list *)
+       rows in bucket order), shared by the hash and index-probe paths:
+       each left batch compacts its joined rows into one output batch
+       (empty expansions pull the next left batch, so emitted batches
+       are never empty); matches stream straight into the output
+       buffer, no per-row bucket list *)
     let probe_batches frames (matches : Tuple.t -> (Tuple.t -> unit) -> unit)
         lbc =
       let rec next () =
@@ -1112,36 +968,15 @@ and compile_join ~config ~outer pred left right : compiled =
       in
       next
     in
-    let run env =
-      match index_probe env with
-      | Some probe ->
-          Cursor.deferred (fun () ->
-              probe_cursor env.Env.frames probe (cl.run env))
-      | None ->
-          Cursor.deferred (fun () ->
-              let lookup =
-                build_lookup env (fun f -> Cursor.iter f (cr.run env))
-              in
-              probe_cursor env.Env.frames lookup (cl.run env))
-    in
-    let brun =
-      if not (batched config) then None
-      else
-        Some
-          (fun env ->
-            match index_probe env with
-            | Some probe ->
-                Batch.deferred (fun () ->
-                    probe_batches env.Env.frames probe
-                      (brun_of ~size:(bsize config) cl env))
-            | None ->
-                Batch.deferred (fun () ->
-                    let lookup =
-                      build_lookup env (fun f ->
-                          Batch.drain_iter f
-                            (brun_of ~size:(bsize config) cr env))
-                    in
-                    probe_batches env.Env.frames lookup
-                      (brun_of ~size:(bsize config) cl env)))
-    in
-    { schema; run; brun }
+    ( schema,
+      fun env ->
+        match index_probe env with
+        | Some probe ->
+            Batch.deferred (fun () ->
+                probe_batches env.Env.frames probe (cl.brun env))
+        | None ->
+            Batch.deferred (fun () ->
+                let lookup =
+                  build_lookup env (fun f -> Batch.drain_iter f (cr.brun env))
+                in
+                probe_batches env.Env.frames lookup (cl.brun env)) )

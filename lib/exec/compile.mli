@@ -9,7 +9,11 @@
     (sorting or hashing, per {!config}) over the outer stream, then a
     nested-loops execution phase that materialises each group as a
     temporary relation, binds it to the relation-valued variable, and
-    re-runs the compiled per-group query. *)
+    re-runs the compiled per-group query.
+
+    Every operator compiles to exactly one implementation, a batch
+    cursor; the tuple-at-a-time [run] only adapts the root for row
+    consumers. *)
 
 type partition_strategy = Sort_partition | Hash_partition
 
@@ -29,26 +33,26 @@ type config = {
           ([Domain.recommended_domain_count ()]).  Output is
           tuple-identical to sequential execution at any setting. *)
   batch_size : int;
-      (** rows per batch on the vectorized path; [0] compiles the
-          classic tuple-at-a-time operators only.  Output is
-          tuple-identical at any setting. *)
+      (** rows per batch, at least [1].  Output is tuple-identical at
+          any setting. *)
   observe : Obs.t option;
       (** per-operator metrics sink (EXPLAIN ANALYZE / --analyze): one
-          {!Obs.node} is registered per plan operator and every cursor is
-          wrapped with the metering pull.  [None] compiles the exact
-          uninstrumented operators — zero per-tuple overhead when
+          {!Obs.node} is registered per plan operator and every batch
+          cursor is wrapped with the metering pull.  [None] compiles the
+          exact uninstrumented operators — zero per-batch overhead when
           tracing is off.  A sink observes one compilation; use a fresh
           sink per compiled plan. *)
 }
 
 val default_batch_size : int
 (** {!Batch.default_size}, overridden once at startup by the
-    [GAPPLY_BATCH] environment switch: [off]/[0] forces scalar
-    execution, an integer sets the batch size. *)
+    [GAPPLY_BATCH] environment switch, which must be a positive
+    integer: any other value exits the process with status 2 and a
+    message naming the variable. *)
 
 val default_config : config
 (** Hash partitioning, Apply caching on, indexes on, sequential,
-    vectorized at {!default_batch_size}, unobserved. *)
+    batches of {!default_batch_size} rows, unobserved. *)
 
 val config_with :
   ?partition:partition_strategy ->
@@ -59,15 +63,16 @@ val config_with :
   ?observe:Obs.t ->
   unit ->
   config
+(** @raise Invalid_argument when [batch_size < 1]. *)
 
 type compiled = {
   schema : Schema.t;
   run : Env.t -> Cursor.t;
-  brun : (Env.t -> Batch.cursor) option;
-      (** vectorized entry point, present when the operator compiled a
-          batch implementation ([batch_size > 0]); [run] is then derived
-          from it through [Batch.to_cursor], so both entry points
-          execute the same instrumented code *)
+      (** row adapter: [Batch.to_cursor] over [brun], for consumers
+          that take one tuple at a time (the tagger, client-side
+          GApply) *)
+  brun : Env.t -> Batch.cursor;
+      (** the operator's batch cursor, metered and governed *)
 }
 
 val plan : ?config:config -> ?outer:Schema.t list -> Plan.t -> compiled

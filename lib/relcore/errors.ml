@@ -214,3 +214,20 @@ let is_engine_error = function
   | Read_only _ | Disk_full _ ->
       true
   | _ -> false
+
+(* The stable class strings wire clients switch on and the concurrent
+   session driver digests by (a class, unlike a message, carries no
+   byte counts or timings that vary between runs). *)
+let error_class = function
+  | Resource_error v -> resource_kind_to_string v.kind
+  | Type_error _ -> "type"
+  | Name_error _ -> "name"
+  | Parse_error _ -> "parse"
+  | Plan_error _ -> "plan"
+  | Exec_error _ -> "exec"
+  | Txn_conflict _ -> "txn_conflict"
+  | Recovery_error _ -> "recovery"
+  | Overloaded _ -> "overloaded"
+  | Read_only _ -> "read_only"
+  | Disk_full _ -> "disk_full"
+  | _ -> "internal"

@@ -155,3 +155,10 @@ val to_string : exn -> string
     exceptions. *)
 
 val is_engine_error : exn -> bool
+
+val error_class : exn -> string
+(** Stable machine-readable class of an engine exception: the resource
+    kind for {!Resource_error}, otherwise one word per exception
+    ([type], [name], [parse], [plan], [exec], [txn_conflict],
+    [recovery], [overloaded], [read_only], [disk_full]); [internal] for
+    anything else. *)

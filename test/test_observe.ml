@@ -65,8 +65,8 @@ let test_timer_monotonic () =
    time=/first= values, and the numeric suffix of the binder's __aggN
    / __sqN gensyms (process-global counters, so they depend on how many
    queries were bound earlier in the test run).  " batches=N" tokens are
-   removed entirely — they exist only under vectorized execution, and
-   the goldens must also hold for the GAPPLY_BATCH=off CI replay
+   removed entirely — their counts depend on the batch size, and the
+   goldens must also hold for the GAPPLY_BATCH=1 CI replay
    (test_batches_reported asserts their presence separately). *)
 let normalize report =
   let n = String.length report in
@@ -261,8 +261,8 @@ let test_q1_analyze_golden () =
     (normalize
        (explanation (tpch_db ()) ("explain analyze " ^ Workloads.q1_gapply)))
 
-(* batch counters ride the EXPLAIN ANALYZE operator lines exactly when
-   execution is vectorized — so the GAPPLY_BATCH=off replay sees none *)
+(* every operator runs batch-wise, so batch counters always ride the
+   EXPLAIN ANALYZE operator lines *)
 let test_batches_reported () =
   let contains s sub =
     let n = String.length s and m = String.length sub in
@@ -272,8 +272,7 @@ let test_batches_reported () =
   let report =
     explanation (tpch_db ()) ("explain analyze " ^ Workloads.q1_gapply)
   in
-  Alcotest.(check bool) "batches= iff vectorized"
-    (Compile.default_batch_size > 0)
+  Alcotest.(check bool) "batches= reported" true
     (contains report "batches=");
   Alcotest.(check bool) "dict footer iff encoding enabled"
     (Dict.enabled ())
@@ -377,7 +376,7 @@ let rec consistent ~drained ~table_card (p : Plan.t) (s : Obs.stat) =
     | Plan.Group_scan _, [] -> true
     | (Plan.Select _ | Plan.Distinct _), [ c ] -> s.Obs.rows <= c.Obs.rows
     | (Plan.Project _ | Plan.Alias _), [ c ] ->
-        (* Cursor.map: exactly one input pull per output pull *)
+        (* Batch.map: one output row per input row *)
         s.Obs.rows = c.Obs.rows
     | Plan.Order_by _, [ c ] ->
         s.Obs.rows <= c.Obs.rows
@@ -429,7 +428,10 @@ let run_with_sink ?(parallelism = 1) cat plan =
       ~config:(Compile.config_with ~observe:sink ~parallelism ())
       plan
   in
-  let rel = Cursor.to_relation c.Compile.schema (c.Compile.run (Env.make cat)) in
+  let rel =
+    Relation.of_array c.Compile.schema
+      (Batch.to_array (c.Compile.brun (Env.make cat)))
+  in
   match Obs.snapshot sink with
   | Some s -> (rel, s)
   | None -> Alcotest.fail "no metric tree"

@@ -91,7 +91,8 @@ let g = Plan.group_scan ~var:"g" g_schema
 
 (* A family of per-group query templates with random parameters,
    covering the full operator alphabet (select, project, distinct,
-   orderby, groupby, aggregate, apply, exists, union all). *)
+   orderby, groupby, aggregate, cached and correlated apply, exists,
+   nested-loop join, union all). *)
 let gen_pgq : Plan.t Gen.t =
   let open Expr in
   let map = Gen.map and map2 = Gen.map2 and oneof = Gen.oneof in
@@ -151,6 +152,27 @@ let gen_pgq : Plan.t Gen.t =
       (fun p -> Plan.apply g (Plan.exists (Plan.select p g)))
       gen_pred
   in
+  (* the inner references the outer row, so it re-runs per outer row
+     (the two Apply templates above are uncorrelated, hence cached):
+     each row's rank by [a] within the group *)
+  let apply_correlated_tpl =
+    map
+      (fun p ->
+        Plan.apply (Plan.select p g)
+          (Plan.aggregate [ (count_star, "n") ]
+             (Plan.select (column "a" <=^ outer "a") g)))
+      gen_pred
+  in
+  (* no equi-pair to hash on: the nested-loop join *)
+  let nl_join_tpl =
+    map
+      (fun p ->
+        Plan.join
+          (column "x" <^ column "a")
+          (Plan.select p g)
+          (Plan.project [ (column "b", "x") ] g))
+      gen_pred
+  in
   let union_tpl =
     map2
       (fun p1 p2 ->
@@ -164,7 +186,8 @@ let gen_pgq : Plan.t Gen.t =
   oneof
     [
       select_tpl; project_tpl; distinct_tpl; orderby_tpl; aggregate_tpl;
-      groupby_tpl; apply_scalar_tpl; apply_exists_tpl; union_tpl;
+      groupby_tpl; apply_scalar_tpl; apply_exists_tpl; apply_correlated_tpl;
+      nl_join_tpl; union_tpl;
     ]
 
 let gen_gcols : Expr.col_ref list Gen.t =

@@ -183,34 +183,24 @@ let gen_dml =
       (1, Gen.pure Clear);
     ]
 
-(* Drain a compiled scan through both accounting paths — the scalar
-   cursor (per-row hook) and the vectorized cursor (per-batch hook) —
-   and require both to account exactly [Table.cardinality] rows. *)
+(* Drain a compiled scan through the row adapter and through the
+   batch cursor's per-batch accounting hook, and require both to see
+   exactly [Table.cardinality] rows. *)
 let scan_accounting_agrees cat t =
   let plan =
     Plan.table_scan ~table:(Table.name t) ~alias:(Table.name t)
       (Table.schema t)
   in
   let compiled = Compile.plan plan in
-  let scalar = ref 0 in
+  let adapted = Cursor.length (compiled.Compile.run (Env.make cat)) in
+  let accounted = ref 0 in
   let arr =
-    Cursor.to_array
-      ~account:(fun _ -> incr scalar)
-      (compiled.Compile.run (Env.make cat))
-  in
-  let batched =
-    match compiled.Compile.brun with
-    | None -> !scalar (* scalar-only build (GAPPLY_BATCH=off) *)
-    | Some brun ->
-        let n = ref 0 in
-        ignore
-          (Batch.to_array
-             ~account:(fun _ _ len -> n := !n + len)
-             (brun (Env.make cat)));
-        !n
+    Batch.to_array
+      ~account:(fun _ _ len -> accounted := !accounted + len)
+      (compiled.Compile.brun (Env.make cat))
   in
   let card = Table.cardinality t in
-  Array.length arr = card && !scalar = card && batched = card
+  adapted = card && !accounted = card && Array.length arr = card
 
 let prop_row_count_conservation =
   QCheck2.Test.make ~count:100

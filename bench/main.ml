@@ -33,9 +33,8 @@
      durability    WAL logging overhead (off/lazy/strict vs in-memory),
                    Q1-Q4 read-path parity under strict, and recovery
                    time vs WAL length / snapshot
-     vectorized    batch-size sweep on warm Q1, per-operator
-                   size-1-vs-default EXPLAIN ANALYZE speedups, and a
-                   dictionary-encoding A/B
+     vectorized    batch-size sweep on warm Q1 and per-operator
+                   size-1-vs-default EXPLAIN ANALYZE speedups
      micro         Bechamel micro-benchmarks of the core operators
 
    Usage:
@@ -1327,10 +1326,9 @@ let bench_micro () =
 (* Default-size batches vs size-1 batches (the row-at-a-time
    baseline), on the warm plan-cache path of Q1 (so
    parse/bind/optimize/compile is out of the measurement): a batch-size
-   sweep, a per-operator breakdown under instrumentation, and a
-   dictionary-encoding A/B.  Runs at a floor of
-   msf 0.5 — the CI gate reads the sweep's speedup, and sub-millisecond
-   runs at tiny scale factors drown it in noise. *)
+   sweep and a per-operator breakdown under instrumentation.  Runs at
+   a floor of msf 0.5 — the CI gate reads the sweep's speedup, and
+   sub-millisecond runs at tiny scale factors drown it in noise. *)
 let bench_vectorized ~msf ~repeat () =
   let msf = Float.max msf 0.5
   and repeat = max repeat 5 in
@@ -1488,34 +1486,7 @@ let bench_vectorized ~msf ~repeat () =
           ("batched_ms", Json.Float t_b);
           ("speedup", Json.Float (if t_b > 0. then t_s /. t_b else 0.));
         ]
-  | _ -> ());
-  (* dictionary A/B: identical engines except for the encoding gate *)
-  Format.printf "@.Dictionary encoding A/B (warm Q1):@.";
-  let warm_q1 () =
-    let db = Engine.create () in
-    Engine.load_tpch db ~msf;
-    ignore (Engine.query db Workloads.q1_gapply);
-    time_runs ~repeat (fun () -> Engine.query db Workloads.q1_gapply)
-  in
-  let was = Dict.enabled () in
-  let t_dict, t_plain =
-    Fun.protect
-      ~finally:(fun () -> Dict.set_enabled was)
-      (fun () ->
-        Dict.set_enabled true;
-        let t_dict = warm_q1 () in
-        Dict.set_enabled false;
-        let t_plain = warm_q1 () in
-        (t_dict, t_plain))
-  in
-  Format.printf "dict on %.2f ms   dict off %.2f ms   ratio %.2fx@."
-    (ms t_dict) (ms t_plain) (t_plain /. t_dict);
-  record ~section:"vectorized" ~query:"q1-dict-ab"
-    [
-      ("dict_on_ms", Json.Float (ms t_dict));
-      ("dict_off_ms", Json.Float (ms t_plain));
-      ("speedup", Json.Float (t_plain /. t_dict));
-    ]
+  | _ -> ())
 
 (* ---------- section: network server (open-loop admission) ---------- *)
 

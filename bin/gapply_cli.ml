@@ -13,7 +13,6 @@
      \analyze      toggle EXPLAIN ANALYZE instrumentation on queries
      \cache        show plan-cache counters and occupancy
      \governor     show resource-governor counters
-     \dict         show string-dictionary statistics
      \timeout MS   per-statement wall-clock budget (off = unlimited)
      \rowlimit N   per-statement output-row budget (off = unlimited)
      \memlimit B   per-statement materialization budget, bytes

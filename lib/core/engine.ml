@@ -63,10 +63,8 @@ and prepared = { p_sql : string; mutable p_entry : Plan_cache.entry }
    prepared-statement namespace, and (optionally) its own resource
    budget — the per-connection state the network front end hands to
    each wire client.  Uncommitted writes never touch shared tables:
-   they stage here (pre-encoded through the table's dictionary, so
-   read-your-own-writes scans see the committed representation) and are
-   appended at COMMIT under the commit lock.  ROLLBACK just drops the
-   buffer — there is nothing to undo. *)
+   they stage here and are appended at COMMIT under the commit lock.
+   ROLLBACK just drops the buffer — there is nothing to undo. *)
 and session = {
   sdb : t;
   mutable txn : txn option;
@@ -482,11 +480,6 @@ let set_mem_limit db bytes =
   db.budget <- { db.budget with Governor.mem_limit_bytes = bytes }
 
 let gov_stats db = db.gov_stats
-
-let dict_report db =
-  Format.asprintf "dict: %a%s" Dict_stats.pp
-    (Catalog.dict_stats db.catalog)
-    (if Dict.enabled () then "" else " (encoding disabled)")
 
 let governor_report db =
   Format.asprintf "governor: %a%s" Gov_stats.pp
@@ -912,15 +905,6 @@ let analyze_plan ?snapshot db plan =
             (Store.durability_to_string (Store.durability st))
     | _ -> report
   in
-  (* dictionary footer, only when some table is dictionary-encoded
-     (engines without string columns — or with GAPPLY_DICT=off — keep
-     the historical output byte-for-byte) *)
-  let report =
-    let ds = Catalog.dict_stats db.catalog in
-    if Dict_stats.active ds then
-      report ^ Format.asprintf "== dict: %a ==\n" Dict_stats.pp ds
-    else report
-  in
   (* transaction footer, only once a transaction has run (engines that
      never BEGIN keep the historical output byte-for-byte) *)
   let report =
@@ -1162,14 +1146,11 @@ let apply_set sess name (v : Sql_ast.set_value) : outcome =
 (* ---------- transactions ---------- *)
 
 (* Stage an INSERT inside an open transaction: bind and validate now
-   (all-or-nothing, so a bad row strands nothing), encode through the
-   table's dictionary now (read-your-own-writes scans then see the same
-   representation committed rows have), and buffer.  Shared state is
-   untouched until COMMIT. *)
+   (all-or-nothing, so a bad row strands nothing) and buffer the bound
+   rows.  Shared state is untouched until COMMIT. *)
 let stage_insert db tx name rows stmt =
   check_writable db;
   let table, bound = Sql_binder.bind_insert_rows db.catalog name rows in
-  let encoded = List.map (Table.encode_row table) bound in
   let key = String.lowercase_ascii (Table.name table) in
   let st =
     match List.assoc_opt key tx.writes with
@@ -1186,10 +1167,10 @@ let stage_insert db tx name rows stmt =
         tx.writes <- tx.writes @ [ (key, st) ];
         st
   in
-  st.st_rows <- List.rev_append encoded st.st_rows;
+  st.st_rows <- List.rev_append bound st.st_rows;
   tx.wstmts <- Sql_ast.statement_to_string stmt :: tx.wstmts;
   Txn_stats.record_staged db.txn_stats;
-  Printf.sprintf "staged %d row(s) into %s (txn %d)" (List.length encoded)
+  Printf.sprintf "staged %d row(s) into %s (txn %d)" (List.length bound)
     (Table.name table) tx.txn_id
 
 (* COMMIT: first-committer-wins at table granularity, then apply, log

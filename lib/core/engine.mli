@@ -129,10 +129,6 @@ val batch_size : t -> int
     never serve a plan compiled under the old setting — the cache
     key-splits, and flipping back re-hits the older entries. *)
 
-val dict_report : t -> string
-(** One-line dictionary-encoding statistics over the catalog (the CLI's
-    [\dict] meta-command). *)
-
 (** {1 Resource governor}
 
     Every statement executes under a per-statement budget: wall-clock

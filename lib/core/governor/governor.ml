@@ -117,11 +117,6 @@ let value_bytes = function
   | Value.Null | Value.Int _ | Value.Bool _ -> 0
   | Value.Float _ -> 16
   | Value.Str s -> 24 + String.length s
-  (* a dictionary handle physically shares its bytes, but the budget
-     models *logical* buffering — charging the decoded length keeps
-     every memory ceiling meaning the same thing whether or not a
-     table happens to be dictionary-encoded *)
-  | Value.Sym (pool, id) -> 24 + String.length (Strpool.unsafe_get pool id)
 
 let tuple_bytes (row : Tuple.t) =
   Array.fold_left (fun acc v -> acc + 8 + value_bytes v) 16 row

@@ -50,7 +50,6 @@ let run sess cmd : Engine.outcome =
       guard (fun () -> Engine.Message (Engine.stats_report db table))
   | [ "\\cache" ] -> Message (Engine.cache_report db)
   | [ "\\governor" ] -> Message (Engine.governor_report db)
-  | [ "\\dict" ] -> Message (Engine.dict_report db)
   | [ "\\wal" ] -> Message (Engine.wal_report db)
   | [ "\\txn" ] -> Message (Engine.txn_report db)
   | [ "\\checkpoint" ] ->

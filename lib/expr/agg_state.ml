@@ -36,9 +36,6 @@ let add st (v : Value.t) =
           match st.seen with
           | None -> true
           | Some tbl ->
-              (* the distinct filter is a polymorphic hash table, which
-                 must never traverse a [Sym]'s pool *)
-              let v = Value.canonical v in
               if Hashtbl.mem tbl v then false
               else begin
                 Hashtbl.add tbl v ();

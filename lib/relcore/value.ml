@@ -7,32 +7,23 @@
    - [compare_total] is the total order used internally by sort, group-by
      and distinct, where NULL sorts first and compares equal to itself. *)
 
-(* [Sym] is a dictionary-encoded string: a handle into an interned
-   string pool (lib/storage's per-table dictionary shards).  It behaves
-   exactly like the [Str] it decodes to — same type, ordering, hash and
-   rendering — but equality against another handle of the same pool is
-   an integer compare and its structural hash is precomputed, so the
-   grouping / join hot paths never touch the bytes.  Dictionary ids are
-   assigned in insertion order (NOT lexicographic), so ordering always
-   falls back to comparing the decoded strings. *)
 type t =
   | Null
   | Int of int
   | Float of float
   | Str of string
   | Bool of bool
-  | Sym of Strpool.t * int
 
 let type_of = function
   | Null -> None
   | Int _ -> Some Datatype.Int
   | Float _ -> Some Datatype.Float
-  | Str _ | Sym _ -> Some Datatype.Str
+  | Str _ -> Some Datatype.Str
   | Bool _ -> Some Datatype.Bool
 
 let is_null = function
   | Null -> true
-  | Int _ | Float _ | Str _ | Bool _ | Sym _ -> false
+  | Int _ | Float _ | Str _ | Bool _ -> false
 
 let to_string = function
   | Null -> "NULL"
@@ -45,27 +36,11 @@ let to_string = function
       then s
       else s ^ ".0"
   | Str s -> s
-  | Sym (pool, id) -> Strpool.get pool id  (* the decode boundary *)
   | Bool b -> if b then "TRUE" else "FALSE"
-
-(* uncounted decode for internal comparison fallbacks *)
-let str_view = function
-  | Str s -> s
-  | Sym (pool, id) -> Strpool.unsafe_get pool id
-  | _ -> invalid_arg "Value.str_view"
-
-(** [Sym] values decoded back to plain [Str]; everything else
-    unchanged.  For code that must feed values to polymorphic
-    hash/equality (statistics, DISTINCT accumulators) — a [Sym]'s pool
-    must never be structurally traversed. *)
-let canonical = function
-  | Sym (pool, id) -> Str (Strpool.unsafe_get pool id)
-  | v -> v
 
 (** Like [to_string] but quotes strings, for SQL literal rendering. *)
 let to_literal = function
-  | (Str _ | Sym _) as v ->
-      let s = to_string v in
+  | Str s ->
       let buf = Buffer.create (String.length s + 2) in
       Buffer.add_char buf '\'';
       String.iter
@@ -84,7 +59,7 @@ let pp ppf v = Format.pp_print_string ppf (to_string v)
 let as_float = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
-  | Null | Str _ | Bool _ | Sym _ -> None
+  | Null | Str _ | Bool _ -> None
 
 let numeric_exn ctx = function
   | Int i -> float_of_int i
@@ -98,7 +73,7 @@ let rank = function
   | Null -> 0
   | Bool _ -> 1
   | Int _ | Float _ -> 2
-  | Str _ | Sym _ -> 3
+  | Str _ -> 3
 
 let compare_total a b =
   match (a, b) with
@@ -108,13 +83,6 @@ let compare_total a b =
   | Int x, Float y -> compare (float_of_int x) y
   | Float x, Int y -> compare x (float_of_int y)
   | Str x, Str y -> compare x y
-  | Sym (p1, i1), Sym (p2, i2) ->
-      (* one pool interns each string once, so equal ids are the whole
-         equality check; ids are insertion-ordered, so anything else
-         falls back to the decoded bytes *)
-      if p1 == p2 && i1 = i2 then 0
-      else compare (Strpool.unsafe_get p1 i1) (Strpool.unsafe_get p2 i2)
-  | (Str _ | Sym _), (Str _ | Sym _) -> compare (str_view a) (str_view b)
   | Bool x, Bool y -> compare x y
   | _ -> compare (rank a) (rank b)
 
@@ -127,7 +95,6 @@ let hash = function
   | Int i -> Hashtbl.hash (float_of_int i)
   | Float f -> Hashtbl.hash f
   | Str s -> Hashtbl.hash s
-  | Sym (pool, id) -> Strpool.hash pool id  (* = Hashtbl.hash of the string *)
   | Bool b -> if b then 3 else 5
 
 (* ---------- SQL (null-propagating) comparison ---------- *)
@@ -140,9 +107,6 @@ let sql_compare a b =
   | Int x, Float y -> Some (compare (float_of_int x) y)
   | Float x, Int y -> Some (compare x (float_of_int y))
   | Str x, Str y -> Some (compare x y)
-  | Sym (p1, i1), Sym (p2, i2) when p1 == p2 && i1 = i2 -> Some 0
-  | (Str _ | Sym _), (Str _ | Sym _) ->
-      Some (compare (str_view a) (str_view b))
   | Bool x, Bool y -> Some (compare x y)
   | _ ->
       Errors.type_errorf "cannot compare %s with %s" (to_string a)
@@ -203,8 +167,7 @@ let concat a b =
   | x, y -> Str (to_string x ^ to_string y)
 
 (** Hash table keyed on single values under the total order — the
-    batched hash join's single-key fast path ([Sym] keys hash and
-    compare without decoding). *)
+    batched hash join's single-key fast path. *)
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 

@@ -14,13 +14,6 @@ type t =
   | Float of float
   | Str of string
   | Bool of bool
-  | Sym of Strpool.t * int
-      (** A dictionary-encoded string: a handle into an interned pool
-          (the storage layer's per-table dictionary).  Behaves exactly
-          like the [Str] it decodes to — same type, total order, hash
-          and rendering — but same-pool equality is an id compare and
-          the hash is precomputed, so grouping and joins never touch
-          the bytes.  Ids are insertion-ordered, not lexicographic. *)
 
 val type_of : t -> Datatype.t option
 (** [None] for [Null]. *)
@@ -28,13 +21,7 @@ val type_of : t -> Datatype.t option
 val is_null : t -> bool
 
 val to_string : t -> string
-(** Plain rendering ([NULL], [42], [3.0], [abc], [TRUE]).  Decodes
-    [Sym] handles — this is the output-boundary decode. *)
-
-val canonical : t -> t
-(** [Sym] decoded back to a plain [Str]; everything else unchanged.
-    Required before feeding values to {e polymorphic} hash or equality
-    (a [Sym]'s pool must never be structurally traversed). *)
+(** Plain rendering ([NULL], [42], [3.0], [abc], [TRUE]). *)
 
 val to_literal : t -> string
 (** Like {!to_string} but strings are SQL-quoted (with [''] escaping). *)

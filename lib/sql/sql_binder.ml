@@ -174,13 +174,20 @@ let rec bind_from_item (catalog : Catalog.t) ~group_vars ~parent
       in
       match lookup_gv with
       | Some gschema ->
+          (* unaliased, the group schema keeps its own qualifiers so that
+             PGQ references resolve exactly like outer-query references;
+             an alias requalifies it, as for a derived table *)
+          let plan = Plan.group_scan ~var:name gschema in
+          let plan =
+            match alias_opt with
+            | None -> plan
+            | Some a -> Plan.alias a plan
+          in
           {
             fi_alias = alias;
-            (* the group schema keeps its own qualifiers so that PGQ
-               references resolve exactly like outer-query references *)
-            fi_schema = gschema;
+            fi_schema = Props.schema_of plan;
             fi_table = None;
-            fi_plan = Plan.group_scan ~var:name gschema;
+            fi_plan = plan;
           }
       | None ->
           let table = Catalog.find_table catalog name in

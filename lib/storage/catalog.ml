@@ -229,20 +229,6 @@ let covers_primary_key cat ~table ~cols =
       let pk = Table.primary_key t in
       pk <> [] && List.for_all (fun k -> List.mem k cols) pk
 
-(** Dictionary statistics summed over every table (zero when no table
-    carries a dictionary). *)
-let dict_stats cat =
-  let tables =
-    locked cat (fun () ->
-        Hashtbl.fold (fun _ t acc -> t :: acc) cat.tables [])
-  in
-  List.fold_left
-    (fun acc t ->
-      match Table.dict_stats t with
-      | None -> acc
-      | Some s -> Dict_stats.add acc s)
-    Dict_stats.zero tables
-
 (** Replication snapshot install: replace this catalog's entire
     contents — tables, indexes, cached statistics — with another's (a
     freshly decoded snapshot body that nothing else references yet).

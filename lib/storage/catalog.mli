@@ -111,10 +111,6 @@ val has_foreign_key :
 val covers_primary_key : t -> table:string -> cols:string list -> bool
 (** Is [cols] a superset of [table]'s primary key? *)
 
-val dict_stats : t -> Dict_stats.t
-(** Dictionary-encoding statistics summed over every table
-    ({!Dict_stats.zero} when none carries a dictionary). *)
-
 val adopt : t -> from:t -> unit
 (** Replace this catalog's entire contents (tables, indexes, cached
     statistics) with [from]'s — the replication applier installs a

@@ -75,8 +75,6 @@ let ndv_create () =
   }
 
 let ndv_add acc v =
-  (* [v] is already canonical, so the polymorphic hash never traverses a
-     [Sym]'s pool *)
   let h = Hashtbl.hash v land (sketch_bits - 1) in
   let byte = h lsr 3 and bit = h land 7 in
   Bytes.set acc.sketch byte
@@ -162,9 +160,7 @@ let compute ?(version = 0) (schema : Schema.t) (rel : Relation.t) :
   Relation.iter
     (fun row ->
       for i = 0 to arity - 1 do
-        (* canonicalize: hashing below must never traverse a [Sym]'s
-           pool, and the histogram orders by the canonical total order *)
-        let v = Value.canonical (Tuple.get row i) in
+        let v = Tuple.get row i in
         if Value.is_null v then nulls.(i) <- nulls.(i) + 1
         else begin
           ndv_add ndvs.(i) v;
@@ -234,7 +230,7 @@ let eq_selectivity_at stats name (v : Value.t) =
   | None -> 1.
   | Some c -> (
       let rows = float_of_int (max 1 stats.row_count) in
-      match find_bucket c (Value.canonical v) with
+      match find_bucket c v with
       | Some b ->
           float_of_int b.b_rows
           /. float_of_int (max 1 b.b_distinct)
@@ -264,7 +260,6 @@ let range_selectivity stats name ~(lower : bool) (bound : Value.t) =
   match column_stats stats name with
   | None -> fallback
   | Some c ->
-      let bound = Value.canonical bound in
       if Array.length c.histogram > 0 then begin
         let total =
           float_of_int

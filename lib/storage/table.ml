@@ -36,10 +36,6 @@ type t = {
                                     staleness checks compare against it *)
   primary_key : string list;
   foreign_keys : foreign_key list;
-  dict : Dict.t option;          (* string-column dictionary: inserts
-                                    intern [Str] values into [Sym]
-                                    handles (None when disabled or no
-                                    string columns) *)
 }
 
 let create ?(primary_key = []) ?(foreign_keys = []) name columns =
@@ -63,7 +59,6 @@ let create ?(primary_key = []) ?(foreign_keys = []) name columns =
     version = Atomic.make 0;
     primary_key;
     foreign_keys;
-    dict = Dict.create schema;
   }
 
 let name t = t.name
@@ -93,12 +88,6 @@ let ensure_capacity t n =
     t.stamps <- stamps'
   end
 
-let encode t row =
-  match t.dict with None -> row | Some d -> Dict.encode_row d row
-
-let encode_row = encode
-let dict_stats t = Option.map Dict.stats t.dict
-
 (* Readers load the watermark first (acquire), then the array refs: the
    writer's release on [published] orders its array writes before any
    read that observed the new watermark.  The length clamp keeps a
@@ -116,7 +105,7 @@ let effective_ts t = function
   | None -> Atomic.get t.last_ts
 
 let append_stamped t ts row =
-  t.rows.(t.row_count) <- encode t row;
+  t.rows.(t.row_count) <- row;
   t.stamps.(t.row_count) <- ts;
   t.row_count <- t.row_count + 1
 

@@ -67,12 +67,6 @@ val check_rows : t -> Tuple.t list -> unit
     version is created.
     @raise Errors.Exec_error on arity mismatch. *)
 
-val encode_row : t -> Tuple.t -> Tuple.t
-(** Dictionary-encode a row exactly as {!insert} would (idempotent;
-    identity when the table has no dictionary).  Staged transaction
-    writes are encoded up front so read-your-own-writes scans see the
-    same representation as committed rows. *)
-
 val clear : t -> unit
 val rows : t -> Tuple.t list
 
@@ -94,7 +88,3 @@ val to_relation : t -> Relation.t
 (** Latest-committed scan (all published rows). *)
 
 val iter : (Tuple.t -> unit) -> t -> unit
-
-val dict_stats : t -> Dict_stats.t option
-(** Dictionary snapshot, [None] when the table has no string columns or
-    encoding was disabled when it was created. *)

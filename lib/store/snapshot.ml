@@ -74,13 +74,6 @@ let put_value buf = function
   | Value.Str s ->
       Buffer.add_char buf '\003';
       put_str buf s
-  | Value.Sym _ as v ->
-      (* dictionary handles serialize as their decoded string: the
-         snapshot is dictionary-independent, and the insert path
-         re-encodes on load — so an encoded and an unencoded database
-         with the same contents digest identically *)
-      Buffer.add_char buf '\003';
-      put_str buf (Value.to_string v)
   | Value.Bool b ->
       Buffer.add_char buf '\004';
       Buffer.add_char buf (if b then '\001' else '\000')

@@ -30,10 +30,6 @@ let branch_of (enc : Publish.encoding) (row : Tuple.t) :
   | v ->
       Errors.exec_errorf "tagger: non-integer node id %s" (Value.to_string v)
 
-(* The tagger is the engine's decode boundary for dictionary-encoded
-   strings: [Value.to_string] resolves a [Sym] handle back to its
-   interned text here, so queries that never reach output (joins,
-   grouping, predicates) compare integer ids and pay no decode. *)
 let field_elements (branch : Publish.branch_desc) (row : Tuple.t) =
   List.filter_map
     (fun (tag, idx) ->

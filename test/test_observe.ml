@@ -245,19 +245,9 @@ let q1_analyze_golden =
    time=_ first=_)\n\
    == actual rows: 405  estimated: 405 ==\n"
 
-(* the dict footer appears only while encoding is enabled, so the
-   GAPPLY_DICT=off replay still matches the golden *)
-let q1_analyze_dict_footer =
-  "== dict: tables=4 shards=32 entries=431 bytes=10.5KiB \
-   encode_hits=266 encode_misses=431 decodes=0 ==\n"
-
 let test_q1_analyze_golden () =
-  let expected =
-    if Dict.enabled () then q1_analyze_golden ^ q1_analyze_dict_footer
-    else q1_analyze_golden
-  in
   Alcotest.(check string) "EXPLAIN ANALYZE Q1 text (timings normalized)"
-    expected
+    q1_analyze_golden
     (normalize
        (explanation (tpch_db ()) ("explain analyze " ^ Workloads.q1_gapply)))
 
@@ -273,10 +263,7 @@ let test_batches_reported () =
     explanation (tpch_db ()) ("explain analyze " ^ Workloads.q1_gapply)
   in
   Alcotest.(check bool) "batches= reported" true
-    (contains report "batches=");
-  Alcotest.(check bool) "dict footer iff encoding enabled"
-    (Dict.enabled ())
-    (contains report "== dict: ")
+    (contains report "batches=")
 
 (* the footer's actual row count, e.g. "== actual rows: 405  ..." *)
 let actual_rows_of report =

@@ -320,6 +320,34 @@ let test_gapply_as_columns () =
     [ "ps_suppkey"; "cheapest" ]
     (Schema.names (Relation.schema r))
 
+(* An alias on the group variable requalifies the group scan, as it does
+   a derived table: the aliased name resolves, and a self-join of the
+   group under two aliases is unambiguous.  Both the executor (hash and
+   sort partitioning, inside [bind_run]) and the optimized engine path
+   must equal the reference. *)
+let test_gapply_group_var_alias () =
+  let db = Engine.create () in
+  List.iter
+    (fun src -> ignore (Engine.exec db src))
+    [
+      "create table x (k int, v int)";
+      "insert into x values (1, 10), (1, 20), (2, 30), (2, 5), (2, 7)";
+    ];
+  List.iter
+    (fun (src, expected) ->
+      let reference = bind_run (Engine.catalog db) src in
+      check_rows src expected reference;
+      check_rel (src ^ ": engine = reference") reference (Engine.query db src))
+    [
+      ( "select gapply(select y.v from x as y) from x group by k : x",
+        [ [ vi 1; vi 10 ]; [ vi 1; vi 20 ]; [ vi 2; vi 30 ]; [ vi 2; vi 5 ];
+          [ vi 2; vi 7 ] ] );
+      ( "select gapply(select a.v, b.v from x as a, x as b where a.v < b.v) \
+         from x group by k : x",
+        [ [ vi 1; vi 10; vi 20 ]; [ vi 2; vi 5; vi 30 ]; [ vi 2; vi 5; vi 7 ];
+          [ vi 2; vi 7; vi 30 ] ] );
+    ]
+
 let test_gapply_produces_r7_shape () =
   let cat = cat () in
   let plan =
@@ -483,6 +511,8 @@ let suite =
     Alcotest.test_case "case expression" `Quick test_binder_case_expression;
     Alcotest.test_case "gapply basic" `Quick test_gapply_basic;
     Alcotest.test_case "gapply AS columns" `Quick test_gapply_as_columns;
+    Alcotest.test_case "gapply group variable alias" `Quick
+      test_gapply_group_var_alias;
     Alcotest.test_case "gapply yields R7 shape" `Quick
       test_gapply_produces_r7_shape;
     Alcotest.test_case "gapply yields R6 shape" `Quick

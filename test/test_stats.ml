@@ -92,7 +92,7 @@ let prop_ndv_exact_below_threshold =
           let vals = ref [] and nulls = ref 0 in
           Relation.iter
             (fun r ->
-              let v = Value.canonical (Tuple.get r i) in
+              let v = Tuple.get r i in
               if Value.is_null v then incr nulls else vals := v :: !vals)
             rel;
           let exact =

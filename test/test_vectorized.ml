@@ -1,16 +1,11 @@
-(* Batch execution and dictionary encoding.
+(* Batch execution.
 
    Batch boundaries must be invisible: for any plan, any batch size
    (including degenerate ones that split every operator boundary) and
    any parallelism, the result is the reference evaluator's.  The
    property tests reuse the random plan generators from
    [Test_properties]; the TPC-H checks pin the paper's Q1-Q4 workload
-   in both formulations.
-
-   The dictionary must likewise be invisible: interning at insert time
-   and decoding at the output boundary round-trips every string, equal
-   strings receive equal handles even when interned from concurrent
-   domains, and an engine with encoding disabled digests identically. *)
+   in both formulations, plus a GApply keyed on a string column. *)
 
 open Support
 
@@ -117,84 +112,6 @@ let test_batch_size_knob () =
   Alcotest.(check bool) "Compile.config_with ~batch_size:0 raises" true
     (raises (fun () -> ignore (Compile.config_with ~batch_size:0 ())))
 
-(* ---------- dictionary round-trip ---------- *)
-
-let dict_fixture_strings =
-  [ "bolt"; "nut"; "gear"; "bolt"; ""; "a very much longer part name" ]
-
-let test_dict_roundtrip () =
-  let t = Table.create "d" [ ("k", Datatype.Int); ("s", Datatype.Str) ] in
-  List.iteri (fun i s -> Table.insert t (row [ vi i; vs s ])) dict_fixture_strings;
-  let stored = Table.rows t in
-  (* handles in the store when the gate is on ... *)
-  if Dict.enabled () then
-    List.iter
-      (fun r ->
-        match Tuple.get r 1 with
-        | Value.Sym _ -> ()
-        | v ->
-            Alcotest.failf "expected interned handle, got %s"
-              (Value.to_string v))
-      stored;
-  (* ... and the original strings at the decode boundary *)
-  List.iteri
-    (fun i s ->
-      let r = List.nth stored i in
-      Alcotest.(check string) "decoded" s (Value.to_string (Tuple.get r 1));
-      Alcotest.check value_testable "canonical"
-        (vs s) (Value.canonical (Tuple.get r 1)))
-    dict_fixture_strings;
-  (* equal strings share one handle *)
-  Alcotest.check value_testable "equal strings, equal handles"
-    (Tuple.get (List.nth stored 0) 1)
-    (Tuple.get (List.nth stored 3) 1)
-
-(* Interning the same strings from several domains concurrently must
-   produce consistent handles: the shard choice is a pure function of
-   the string, and each pool's intern is mutex-guarded. *)
-let test_dict_concurrent_shards () =
-  let schema = Schema.of_list [ Schema.column "s" Datatype.Str ] in
-  match Dict.create schema with
-  | None -> () (* GAPPLY_DICT=off: nothing to stress *)
-  | Some dict ->
-      let n = 500 in
-      let strings = Array.init n (fun i -> Printf.sprintf "str-%d" (i mod 97)) in
-      let encode_all offset =
-        Array.init n (fun i ->
-            let s = strings.((i + offset) mod n) in
-            Tuple.get (Dict.encode_row dict (row [ vs s ])) 0)
-      in
-      let domains =
-        List.init 4 (fun d -> Domain.spawn (fun () -> encode_all (d * 131)))
-      in
-      let results = List.map Domain.join domains in
-      (* every domain decoded back to the right string, and equal
-         strings got identical handles across domains *)
-      List.iteri
-        (fun d encoded ->
-          let offset = d * 131 in
-          Array.iteri
-            (fun i v ->
-              Alcotest.(check string)
-                (Printf.sprintf "domain %d decode %d" d i)
-                strings.((i + offset) mod n)
-                (Value.to_string v))
-            encoded)
-        results;
-      let serial = encode_all 0 in
-      List.iteri
-        (fun d encoded ->
-          let offset = d * 131 in
-          Array.iteri
-            (fun i v ->
-              Alcotest.check value_testable
-                (Printf.sprintf "domain %d handle %d" d i)
-                serial.((i + offset) mod n) v)
-            encoded)
-        results;
-      let stats = Dict.stats dict in
-      Alcotest.(check int) "distinct entries" 97 stats.Dict_stats.entries
-
 (* ---------- TPC-H Q1-Q4: any batch size = reference ---------- *)
 
 let tpch_engine () =
@@ -202,62 +119,50 @@ let tpch_engine () =
   Engine.load_tpch db ~msf:0.1;
   db
 
+(* The report benchmark's string-keyed GApply: [part] grouped by its 25
+   brands, with a per-group scalar subquery. *)
+let brand_gapply =
+  "select gapply(select count(*) as n, min(p_retailprice) as lo, \
+   max(p_retailprice) as hi from g union all select count(*), null, null \
+   from g where p_size > (select avg(p_size) from g)) from part group by \
+   p_brand : g"
+
 (* Every batch size and parallelism agrees with the reference evaluator
    (as a multiset) and with every other setting (row for row: execution
    is deterministic at any setting). *)
 let test_tpch_batch_equivalence () =
   let db = tpch_engine () in
+  let inputs =
+    List.concat_map
+      (fun (name, gapply, baseline) ->
+        [ (name ^ " (gapply)", gapply); (name ^ " (baseline)", baseline) ])
+      Workloads.figure8_queries
+    @ [ ("part by p_brand (gapply)", brand_gapply) ]
+  in
   List.iter
-    (fun (name, gapply, baseline) ->
+    (fun (label, sql) ->
+      let reference =
+        Reference.run (Engine.catalog db) (Engine.plan_of_sql db sql)
+      in
+      let first = ref None in
       List.iter
-        (fun (form, sql) ->
-          let label = Printf.sprintf "%s (%s)" name form in
-          let reference =
-            Reference.run (Engine.catalog db) (Engine.plan_of_sql db sql)
+        (fun (batch_size, parallelism) ->
+          Engine.set_batch_size db batch_size;
+          Engine.set_parallelism db parallelism;
+          let got = Engine.query db sql in
+          let setting =
+            Printf.sprintf "%s, batch %d, parallelism %d" label batch_size
+              parallelism
           in
-          let first = ref None in
-          List.iter
-            (fun (batch_size, parallelism) ->
-              Engine.set_batch_size db batch_size;
-              Engine.set_parallelism db parallelism;
-              let got = Engine.query db sql in
-              let setting =
-                Printf.sprintf "%s, batch %d, parallelism %d" label
-                  batch_size parallelism
-              in
-              Alcotest.(check bool)
-                (setting ^ " = reference") true
-                (Relation.equal_as_multiset reference got);
-              match !first with
-              | None -> first := Some got
-              | Some expected ->
-                  Alcotest.check relation_ordered_testable setting expected
-                    got)
-            (List.concat_map
-               (fun b -> [ (b, 1); (b, 2) ])
-               batch_sizes))
-        [ ("gapply", gapply); ("baseline", baseline) ])
-    Workloads.figure8_queries
-
-(* With and without dictionary encoding the logical database state is
-   identical: the durability digest decodes handles before hashing. *)
-let test_tpch_dict_digest () =
-  let was = Dict.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Dict.set_enabled was)
-    (fun () ->
-      Dict.set_enabled true;
-      let encoded = tpch_engine () in
-      Dict.set_enabled false;
-      let plain = tpch_engine () in
-      Alcotest.(check string) "db digest, encoded vs plain"
-        (Recovery.db_digest (Engine.catalog plain))
-        (Recovery.db_digest (Engine.catalog encoded));
-      List.iter
-        (fun (name, gapply, _) ->
-          Alcotest.check relation_ordered_testable name
-            (Engine.query plain gapply) (Engine.query encoded gapply))
-        Workloads.figure8_queries)
+          Alcotest.(check bool)
+            (setting ^ " = reference") true
+            (Relation.equal_as_multiset reference got);
+          match !first with
+          | None -> first := Some got
+          | Some expected ->
+              Alcotest.check relation_ordered_testable setting expected got)
+        (List.concat_map (fun b -> [ (b, 1); (b, 2) ]) batch_sizes))
+    inputs
 
 let suite =
   [
@@ -269,12 +174,6 @@ let suite =
       test_batch_to_array_exact_fit;
     Alcotest.test_case "batch size 0 is rejected" `Quick
       test_batch_size_knob;
-    Alcotest.test_case "dictionary round-trips strings" `Quick
-      test_dict_roundtrip;
-    Alcotest.test_case "concurrent interning agrees across domains" `Quick
-      test_dict_concurrent_shards;
     Alcotest.test_case "TPC-H Q1-Q4: every batch size = reference" `Quick
       test_tpch_batch_equivalence;
-    Alcotest.test_case "TPC-H digest: encoded = plain" `Quick
-      test_tpch_dict_digest;
   ]

@@ -160,6 +160,13 @@ let bind cat src =
 
 let optimize cat plan = (Optimizer.optimize cat plan).Optimizer.plan
 
+(* Run one setup statement; anything but an acknowledgement aborts the
+   bench. *)
+let exec_ok db sql =
+  match Engine.exec db sql with
+  | Engine.Message _ -> ()
+  | _ -> failwith ("unexpected outcome for: " ^ sql)
+
 let header title =
   Format.printf "@.%s@.%s@." title (String.make (String.length title) '=')
 
@@ -878,13 +885,11 @@ let bench_transactions ~msf:_ ~repeat:_ () =
   let readers = 3 in
   let fresh () =
     let db = Engine.create () in
-    (match Engine.exec db "create table acct (a int, b int)" with
-    | Engine.Failed e -> raise e
-    | _ -> ());
+    exec_ok db "create table acct (a int, b int)";
     for i = 0 to 15 do
       let row j = Printf.sprintf "(%d, %d)" ((16 * i) + j) i in
       let values = String.concat ", " (List.init 16 row) in
-      ignore (Engine.exec db ("insert into acct values " ^ values))
+      exec_ok db ("insert into acct values " ^ values)
     done;
     db
   in
@@ -938,13 +943,11 @@ let bench_transactions ~msf:_ ~repeat:_ () =
         ~script:(fun _ -> reader_trace)
     in
     let db = if mvcc then Engine.create () else Engine.create ~mvcc:false () in
-    (match Engine.exec db "create table acct (a int, b int)" with
-    | Engine.Failed e -> raise e
-    | _ -> ());
+    exec_ok db "create table acct (a int, b int)";
     for i = 0 to 15 do
       let row j = Printf.sprintf "(%d, %d)" ((16 * i) + j) i in
       let values = String.concat ", " (List.init 16 row) in
-      ignore (Engine.exec db ("insert into acct values " ^ values))
+      exec_ok db ("insert into acct values " ^ values)
     done;
     let mixed =
       Session.run ~concurrent:true db ~sessions:(readers + 1)
@@ -1137,11 +1140,6 @@ let bench_durability ~msf ~repeat () =
         (Sys.readdir dir)
     else Unix.mkdir dir 0o755;
     dir
-  in
-  let exec_ok db sql =
-    match Engine.exec db sql with
-    | Engine.Message _ -> ()
-    | _ -> failwith ("unexpected outcome for: " ^ sql)
   in
   (* 1. ingest: n acknowledged single-row INSERTs per durability mode *)
   let n = 500 in
@@ -1667,11 +1665,6 @@ let bench_replication ~msf:_ ~repeat:_ () =
         (Sys.readdir dir)
     else Unix.mkdir dir 0o755;
     dir
-  in
-  let exec_ok db sql =
-    match Engine.exec db sql with
-    | Engine.Message _ -> ()
-    | _ -> failwith ("unexpected outcome for: " ^ sql)
   in
   let n = 1500 in
   let pdb =

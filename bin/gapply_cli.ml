@@ -34,7 +34,9 @@ let print_outcome timing elapsed = function
       Format.printf "%a" Relation.pp rel;
       if timing then Format.printf "(%.1f ms)@." (1000. *. elapsed))
   | Engine.Message m -> Format.printf "%s@." m
-  | Engine.Explanation text -> Format.printf "%s" text
+  | Engine.Explanation text -> (
+      Format.printf "%s" text;
+      if timing then Format.printf "(%.1f ms)@." (1000. *. elapsed))
   | Engine.Failed e -> Format.printf "error: %s@." (Errors.to_string e)
 
 (* With --analyze / \analyze on, plain SELECTs run under per-operator
@@ -43,43 +45,35 @@ let is_plain_select src =
   match Sql_parser.parse_statement src with
   | Sql_ast.Stmt_select _ -> true
   | _ -> false
-  | exception e when Errors.is_engine_error e -> false
+  | exception Errors.Parse_error _ -> false
 
-let report_error e = Format.printf "error: %s@." (Errors.to_string e)
-
-(* Raises the engine's parse / name / plan errors; the REPL reports them
-   and carries on, a script stops at the first one. *)
+(* Prints the statement's result or its error; false when it failed. *)
 let run_statement db ~timing ~analyze src =
   let t0 = Unix.gettimeofday () in
-  if analyze && is_plain_select src then begin
-    let rel, report = Engine.analyze db src in
-    Format.printf "%a" Relation.pp rel;
-    Format.printf "%s" report;
-    if timing then
-      Format.printf "(%.1f ms)@." (1000. *. (Unix.gettimeofday () -. t0))
-  end
-  else
-    let outcome = Engine.exec db src in
-    print_outcome timing (Unix.gettimeofday () -. t0) outcome
+  let outcome =
+    if analyze && is_plain_select src then
+      Engine.catch_errors (fun () ->
+          let rel, report = Engine.analyze db src in
+          Engine.Explanation (Format.asprintf "%a%s" Relation.pp rel report))
+    else Engine.exec db src
+  in
+  print_outcome timing (Unix.gettimeofday () -. t0) outcome;
+  match outcome with Engine.Failed _ -> false | _ -> true
 
-(* -f: every statement's output is printed before the next one runs.
-   A statement that fails with a typed outcome (a budget violation, a
-   bad SET value) prints its error and the script goes on; one that
-   cannot run at all (a syntax error anywhere in the script, an unknown
-   name) prints its error and stops the script: false. *)
+(* -f: a syntax error anywhere runs nothing; otherwise every statement's
+   output is printed before the next one runs, and the first failure
+   stops the script: false. *)
 let run_script db ~analyze src =
-  try
-    List.iter
-      (fun stmt ->
-        if analyze then
-          run_statement db ~timing:false ~analyze:true
-            (Sql_ast.statement_to_string stmt)
-        else print_outcome false 0. (Engine.exec_statement db stmt))
-      (Sql_parser.parse_script src);
-    true
-  with e when Errors.is_engine_error e ->
-    report_error e;
-    false
+  match Sql_parser.parse_script src with
+  | exception (Errors.Parse_error _ as e) ->
+      print_outcome false 0. (Engine.Failed e);
+      false
+  | stmts ->
+      List.for_all
+        (fun stmt ->
+          run_statement db ~timing:false ~analyze
+            (Sql_ast.statement_to_string stmt))
+        stmts
 
 (* REPL-local toggles (\q, \timing, \analyze) stay here; everything
    else goes through the shared Meta dispatcher (also used by the
@@ -131,8 +125,7 @@ let repl db ~analyze =
             then begin
               let src = Buffer.contents buf in
               Buffer.clear buf;
-              try run_statement db ~timing:!timing ~analyze:!analyze src
-              with e when Errors.is_engine_error e -> report_error e
+              ignore (run_statement db ~timing:!timing ~analyze:!analyze src)
             end
           end
     done

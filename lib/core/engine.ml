@@ -223,7 +223,7 @@ let session_budget sess =
 let is_default_session sess =
   match sess.sdb.dsess with Some s -> s == sess | None -> false
 
-(* The sessionless API (exec / exec_script / query) runs on a lazily
+(* The sessionless API (exec / query) runs on a lazily
    created default session, so BEGIN works there too. *)
 let session db =
   match db.dsess with
@@ -1218,35 +1218,25 @@ let commit_txn db tx =
 let exec_stmt sess ~sql (stmt : Sql_ast.statement) : outcome =
   let db = sess.sdb in
   match stmt with
-  | Sql_ast.Stmt_select _ -> (
-      let e = lookup_or_prepare db sql in
-      try
-        Rows
-          (run_entry_governed
-             ?snapshot:(session_snapshot sess)
-             ~budget:(session_budget sess) db e)
-      with Errors.Resource_error _ as ex -> Failed ex)
-  | Sql_ast.Stmt_prepare (name, q) -> (
-      (* prepared-statement misuse (unknown table, bad binding...) fails
-         the statement, not the session.  Handles are session state: a
-         connection's PREPARE is invisible to its neighbors and dies
-         with the connection. *)
-      try
-        let h = prepare db (Sql_ast.query_to_string q) in
-        Hashtbl.replace sess.sprepared (prepared_name name) h;
-        Message (Printf.sprintf "prepared %s" name)
-      with ex when Errors.is_engine_error ex -> Failed ex)
+  | Sql_ast.Stmt_select _ ->
+      Rows
+        (run_entry_governed
+           ?snapshot:(session_snapshot sess)
+           ~budget:(session_budget sess) db
+           (lookup_or_prepare db sql))
+  | Sql_ast.Stmt_prepare (name, q) ->
+      (* handles are session state: a connection's PREPARE is invisible
+         to its neighbors and dies with the connection *)
+      let h = prepare db (Sql_ast.query_to_string q) in
+      Hashtbl.replace sess.sprepared (prepared_name name) h;
+      Message (Printf.sprintf "prepared %s" name)
   | Sql_ast.Stmt_execute name -> (
       match Hashtbl.find_opt sess.sprepared (prepared_name name) with
-      | Some h -> (
-          (* a re-prepare over dropped tables, or a budget violation of
-             the execution itself, fails cleanly *)
-          try
-            Rows
-              (exec_prepared_snap
-                 ?snapshot:(session_snapshot sess)
-                 ~budget:(session_budget sess) db h)
-          with ex when Errors.is_engine_error ex -> Failed ex)
+      | Some h ->
+          Rows
+            (exec_prepared_snap
+               ?snapshot:(session_snapshot sess)
+               ~budget:(session_budget sess) db h)
       | None ->
           Failed
             (Errors.Name_error
@@ -1316,10 +1306,8 @@ let exec_stmt sess ~sql (stmt : Sql_ast.statement) : outcome =
           sess.txn <- None;
           Txn_stats.record_rollback db.txn_stats;
           Message (Printf.sprintf "rollback (txn %d)" tx.txn_id))
-  | Sql_ast.Stmt_insert (name, rows) when sess.txn <> None -> (
-      let tx = Option.get sess.txn in
-      try Message (stage_insert db tx name rows stmt)
-      with Errors.Txn_conflict _ as ex -> Failed ex)
+  | Sql_ast.Stmt_insert (name, rows) when sess.txn <> None ->
+      Message (stage_insert db (Option.get sess.txn) name rows stmt)
   | Sql_ast.Stmt_insert (name, rows) ->
       (* auto-commit: a bare INSERT is its own transaction.  It goes
          through the same stamped path as COMMIT (reserve a timestamp,
@@ -1384,6 +1372,11 @@ let first_keyword_is_set sql =
                         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
                         | _ -> false))
 
+(** The one place an engine error becomes a [Failed] outcome; anything
+    else (a [Fault.Crash], a bug) escapes. *)
+let catch_errors f : outcome =
+  try f () with e when Errors.is_engine_error e -> Failed e
+
 (** Execute one SQL statement on a session (transaction state lives on
     the session; outside a transaction this is indistinguishable from
     {!exec}). *)
@@ -1397,40 +1390,24 @@ let exec_session sess src : outcome =
       Plan_cache.find db.cache db.catalog (cache_key db sql)
     else None
   in
-  match fast with
-  | Some e -> (
+  catch_errors (fun () ->
       try
-        Rows
-          (run_entry_governed
-             ?snapshot:(session_snapshot sess)
-             ~budget:(session_budget sess) db e)
-      with Errors.Resource_error _ as ex -> Failed ex)
-  | None -> (
-      match Sql_parser.parse_statement sql with
-      | stmt -> exec_stmt sess ~sql stmt
-      | exception Errors.Parse_error m when first_keyword_is_set sql ->
-          (* a SET that fails to parse is a malformed knob value, not
-             unparseable SQL: report the stable [Type_error] class so
-             wire clients can switch on it (same class a well-formed SET
-             with a wrong-shaped value gets) *)
-          Failed (Errors.Type_error (Printf.sprintf "malformed SET: %s" m)))
+        match fast with
+        | Some e ->
+            Rows
+              (run_entry_governed
+                 ?snapshot:(session_snapshot sess)
+                 ~budget:(session_budget sess) db e)
+        | None -> exec_stmt sess ~sql (Sql_parser.parse_statement sql)
+      with Errors.Parse_error m when first_keyword_is_set sql ->
+        (* a SET that fails to parse is a malformed knob value, not
+           unparseable SQL: report the stable [Type_error] class so wire
+           clients can switch on it (same class a well-formed SET with a
+           wrong-shaped value gets) *)
+        Failed (Errors.Type_error (Printf.sprintf "malformed SET: %s" m)))
 
 (** Execute one SQL statement (on the engine's default session). *)
 let exec db src : outcome = exec_session (session db) src
-
-(** Execute one parsed script statement on the default session.
-    Queries are keyed on their printed (canonical) text, so a repeated
-    script statement warms the same entries as {!exec}. *)
-let exec_statement db (stmt : Sql_ast.statement) : outcome =
-  match stmt with
-  | Sql_ast.Stmt_explain q ->
-      (* scripts keep the historical terse EXPLAIN rendering *)
-      Explanation (Plan.to_string (Sql_binder.bind_query db.catalog q))
-  | _ -> exec_stmt (session db) ~sql:(Sql_ast.statement_to_string stmt) stmt
-
-(** Execute a whole ';'-separated script, returning each outcome. *)
-let exec_script db src : outcome list =
-  List.map (exec_statement db) (Sql_parser.parse_script src)
 
 (** Run a query and return the relation (raises on DDL). *)
 let query db src =

@@ -29,21 +29,24 @@ type prepared
 type session
 (** One client's view of the engine: at most one open transaction.
     Sessions are cheap; the concurrent-session driver creates one per
-    simulated client.  The sessionless API ({!exec}, {!exec_script},
-    {!query}) runs on a lazily created default session, so transaction
-    control works there too. *)
+    simulated client.  The sessionless API ({!exec}, {!query}) runs on
+    a lazily created default session, so transaction control works
+    there too. *)
 
 type outcome =
   | Rows of Relation.t          (** result of a query *)
   | Message of string           (** DDL/DML confirmation *)
   | Explanation of string       (** EXPLAIN output *)
   | Failed of exn
-      (** the statement failed with a typed engine error — a budget
-          violation ({!Errors.Resource_error}), an injected fault, an
-          unknown prepared handle, a stale re-prepare over dropped
-          tables.  The engine is untouched: sibling statements, cached
-          entries and catalog state are exactly as if the statement had
-          never run. *)
+      (** the statement failed with an engine error — any exception
+          {!Errors.is_engine_error} accepts: a parse, name, type or
+          execution error, a budget violation ({!Errors.Resource_error}),
+          a transaction conflict, a write to a read-only engine.  The
+          engine is untouched: sibling statements, cached entries and
+          catalog state are exactly as if the statement had never run.
+          {!exec} and {!exec_session} never raise an engine error; only
+          a simulated process death ({!Fault.Crash}) or a bug escapes
+          them. *)
 
 val create :
   ?partition:Compile.partition_strategy ->
@@ -379,16 +382,8 @@ val stats_report : t -> string -> string
 val exec : t -> string -> outcome
 (** Execute one SQL statement (query, EXPLAIN, EXPLAIN ANALYZE,
     PREPARE / EXECUTE / DEALLOCATE, transaction control, or DDL/DML)
-    on the engine's default session. *)
-
-val exec_statement : t -> Sql_ast.statement -> outcome
-(** Execute one parsed script statement on the default session (EXPLAIN
-    renders the terse bound plan).  Raises like {!exec}. *)
-
-val exec_script : t -> string -> outcome list
-(** Execute a ';'-separated script (on the default session, so a script
-    can BEGIN ... COMMIT across its statements): {!exec_statement} over
-    every statement, after parsing the whole script. *)
+    on the engine's default session.  Every engine error comes back as
+    {!Failed}. *)
 
 (** {1 Sessions and transactions}
 
@@ -427,9 +422,16 @@ val session_budget : session -> Governor.budget
     only ever exists on explicitly created sessions — one network
     connection's SET never throttles its neighbors. *)
 
+val catch_errors : (unit -> outcome) -> outcome
+(** [catch_errors f] runs [f] and returns any engine error it raises as
+    {!Failed} — the single catch {!exec_session} runs every statement
+    under, for front ends that call a raising library function such as
+    {!analyze}.  A {!Fault.Crash} or a bug escapes with its backtrace. *)
+
 val exec_session : session -> string -> outcome
 (** Like {!exec}, with transaction state, prepared-statement namespace
-    and budget overlay on this session.  A statement starting with [SET]
+    and budget overlay on this session; every engine error comes back
+    as {!Failed}.  A statement starting with [SET]
     that fails to parse is reported as a typed [Type_error]
     ("malformed SET: ...") rather than a generic parse error, giving
     wire clients a stable error class for bad knob values. *)

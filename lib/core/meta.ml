@@ -43,23 +43,23 @@ let knob_sql knob v =
 
 let run sess cmd : Engine.outcome =
   let db = Engine.session_db sess in
-  let guard f = try f () with e when Errors.is_engine_error e -> Engine.Failed e in
   match String.split_on_char ' ' (String.trim cmd) with
   | [ "\\tables" ] -> Message (tables_report db)
   | [ "\\stats"; table ] ->
-      guard (fun () -> Engine.Message (Engine.stats_report db table))
+      Engine.catch_errors (fun () ->
+          Engine.Message (Engine.stats_report db table))
   | [ "\\cache" ] -> Message (Engine.cache_report db)
   | [ "\\governor" ] -> Message (Engine.governor_report db)
   | [ "\\wal" ] -> Message (Engine.wal_report db)
   | [ "\\txn" ] -> Message (Engine.txn_report db)
   | [ "\\checkpoint" ] ->
-      guard (fun () ->
+      Engine.catch_errors (fun () ->
           Engine.Message
             (Printf.sprintf "checkpoint: snapshot written (%s)"
                (Pretty.bytes (Engine.checkpoint db))))
   | [ ("\\timeout" | "\\rowlimit" | "\\memlimit") as knob; v ] -> (
       match knob_sql knob v with
-      | Some sql -> guard (fun () -> Engine.exec_session sess sql)
+      | Some sql -> Engine.exec_session sess sql
       | None ->
           Failed
             (Errors.Type_error

@@ -66,12 +66,7 @@ let run_session db ~id stmts =
   Array.iteri
     (fun i src ->
       let t0 = Metrics.now_ns () in
-      (* a statement failing (typed error, parse error...) must not take
-         its session — let alone its siblings — down with it *)
-      let outcome =
-        try Engine.exec_session sess src
-        with e when Errors.is_engine_error e -> Engine.Failed e
-      in
+      let outcome = Engine.exec_session sess src in
       latencies.(i) <- Metrics.now_ns () - t0;
       digest := digest_outcome !digest outcome;
       rows := !rows + rows_of_outcome outcome;

@@ -363,12 +363,16 @@ let run r =
     (match dial r with
     | fd ->
         Mutex.protect r.mu (fun () -> r.sock <- Some fd);
-        (try stream_once r fd
-         with e when Errors.is_engine_error e ->
-           (* an apply failure is a replica bug or local disk trouble;
-              surfacing it as a torn stream forces escalation instead
-              of a silent tight loop *)
-           note_torn r);
+        (try stream_once r fd with
+         | Unix.Unix_error _ ->
+             (* the primary dropped the connection before the subscribe
+                request went out (a crash or a partition): dial again *)
+             ()
+         | e when Errors.is_engine_error e ->
+             (* an apply failure is a replica bug or local disk trouble;
+                surfacing it as a torn stream forces escalation instead
+                of a silent tight loop *)
+             note_torn r);
         Mutex.protect r.mu (fun () -> r.sock <- None);
         (try Unix.close fd with Unix.Unix_error _ -> ())
     | exception Unix.Unix_error _ -> ());

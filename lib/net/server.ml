@@ -66,15 +66,6 @@ type t = {
 
 (* ---------- outcome -> wire ---------- *)
 
-(* The engine's stable error classes, plus the wire's own framing
-   failures. *)
-let error_class = function
-  | Wire.Protocol_error _ -> "protocol"
-  | e -> Errors.error_class e
-
-let failed_of_exn e =
-  Wire.Failed { cls = error_class e; message = Errors.to_string e }
-
 let response_of_outcome (o : Engine.outcome) : Wire.response =
   match o with
   | Engine.Rows rel ->
@@ -85,7 +76,8 @@ let response_of_outcome (o : Engine.outcome) : Wire.response =
         }
   | Engine.Message m -> Wire.Message m
   | Engine.Explanation e -> Wire.Explanation e
-  | Engine.Failed e -> failed_of_exn e
+  | Engine.Failed e ->
+      Wire.Failed { cls = Errors.error_class e; message = Errors.to_string e }
 
 (* ---------- connection handling ---------- *)
 
@@ -108,7 +100,6 @@ let handle_query t sess ?client sql =
           retry_after_ms = o.Errors.retry_after_ms;
           message = Errors.overload_to_string o;
         }
-  | exception e when Errors.is_engine_error e -> failed_of_exn e
 
 let handle_meta t sess cmd = ignore t; response_of_outcome (Meta.run sess cmd)
 

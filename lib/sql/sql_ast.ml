@@ -113,11 +113,31 @@ let quote_string s =
   Buffer.add_char buf '\'';
   Buffer.contents buf
 
+(* The shortest text that reads back as exactly [f]. The lexer reads an
+   exponent only after a decimal point, so "1e-05" is written "1.0e-05";
+   it reads an overflowing literal as infinity, so infinity is written as
+   one. The parser makes no negative or NaN literal. *)
+let float_literal f =
+  if f = Float.infinity then "1.0e999"
+  else
+    let s =
+      match
+        List.find_opt
+          (fun s -> float_of_string s = f)
+          [ Printf.sprintf "%.15g" f; Printf.sprintf "%.16g" f ]
+      with
+      | Some s -> s
+      | None -> Printf.sprintf "%.17g" f
+    in
+    if String.contains s '.' then s
+    else
+      match String.index_opt s 'e' with
+      | Some i -> String.sub s 0 i ^ ".0" ^ String.sub s i (String.length s - i)
+      | None -> s ^ ".0"
+
 let rec expr_to_string = function
   | Lit_int i -> string_of_int i
-  | Lit_float f ->
-      let s = Printf.sprintf "%.12g" f in
-      if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
+  | Lit_float f -> float_literal f
   | Lit_string s -> quote_string s
   | Lit_bool b -> if b then "TRUE" else "FALSE"
   | Lit_null -> "NULL"

@@ -97,9 +97,16 @@ let lex_number st =
           advance st
         done
     | _ -> ());
-    Sql_token.Float_lit (float_of_string (String.sub st.src start (st.pos - start)))
+    let text = String.sub st.src start (st.pos - start) in
+    match float_of_string_opt text with
+    | Some f -> Sql_token.Float_lit f
+    | None -> errorf st "malformed number %s" text
   end
-  else Sql_token.Int_lit (int_of_string (String.sub st.src start (st.pos - start)))
+  else
+    let text = String.sub st.src start (st.pos - start) in
+    match int_of_string_opt text with
+    | Some n -> Sql_token.Int_lit n
+    | None -> errorf st "integer literal %s out of range" text
 
 let lex_string st =
   advance st;

@@ -127,3 +127,16 @@ let run_checked ?(msg = "exec vs reference") cat plan =
   check_rel (msg ^ " (hash partitioning)") reference hash;
   check_rel (msg ^ " (sort partitioning)") reference sort;
   reference
+
+(* ---------- engine setup ---------- *)
+
+(** Run one setup statement on a session; a [Failed] outcome fails the
+    test. *)
+let session_ok sess sql =
+  match Engine.exec_session sess sql with
+  | Engine.Failed e -> Alcotest.failf "%s: %s" sql (Errors.to_string e)
+  | _ -> ()
+
+(** [session_ok] on the engine's default session (what {!Engine.exec}
+    runs on). *)
+let exec_ok db sql = session_ok (Engine.session db) sql

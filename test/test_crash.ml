@@ -366,9 +366,9 @@ let test_crash_with_open_txn_commits_nothing () =
       | _ -> ())
     [ "create table t (a int)"; "insert into t values (1)" ];
   let sess = Engine.new_session durable in
-  ignore (Engine.exec_session sess "begin");
-  ignore (Engine.exec_session sess "insert into t values (2)");
-  ignore (Engine.exec_session sess "insert into t values (3)");
+  Support.session_ok sess "begin";
+  Support.session_ok sess "insert into t values (2)";
+  Support.session_ok sess "insert into t values (3)";
   (* abandon mid-transaction: no commit, no close *)
   let recovered = Engine.create ~data_dir:dir () in
   Alcotest.(check string) "only the pre-transaction prefix recovered"

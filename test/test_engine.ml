@@ -86,9 +86,58 @@ let test_engine_ddl_and_query () =
   | Engine.Message m ->
       Alcotest.(check string) "ddl message" "created table t" m
   | _ -> Alcotest.fail "expected a message");
-  ignore (Engine.exec db "insert into t values (1), (2)");
+  exec_ok db "insert into t values (1), (2)";
   let r = Engine.query db "select a from t order by a desc" in
   check_rows "engine query" [ [ vi 2 ]; [ vi 1 ] ] r
+
+(* Every engine error comes back as a [Failed] outcome of the expected
+   class, never as an exception, and leaves the session usable.  Each
+   row runs on a fresh session after its setup. *)
+let test_engine_errors_are_failed () =
+  let db = Engine.create () in
+  exec_ok db "create table t (a int, b varchar)";
+  exec_ok db "insert into t values (1, 'x')";
+  let plain _ = () in
+  let in_txn sess = session_ok sess "begin" in
+  let read_only _ =
+    Engine.set_read_only db
+      (Some { Errors.primary = None; ro_detail = "test replica" })
+  in
+  let rows =
+    [
+      (plain, "selec a from t", "parse");
+      (plain, "select a from t where a = 99999999999999999999", "parse");
+      (plain, "select a from t where a = 1.5e", "parse");
+      (plain, "select a from nosuch", "name");
+      (plain, "select nosuch from t", "name");
+      (plain, "select a from t where b", "type");
+      (plain, "insert into t values (2)", "exec");
+      (plain, "insert into t values (a, 'y')", "name");
+      (plain, "insert into t values (1 + 1, 'y')", "plan");
+      (plain, "create table t (c int)", "name");
+      (plain, "drop table nosuch", "name");
+      (plain, "explain select a from nosuch", "name");
+      (plain, "explain analyze select a from nosuch", "name");
+      (in_txn, "insert into t values (2)", "exec");
+      (read_only, "insert into t values (2, 'y')", "read_only");
+    ]
+  in
+  List.iter
+    (fun (setup, sql, cls) ->
+      let sess = Engine.new_session db in
+      setup sess;
+      (match Engine.exec_session sess sql with
+      | Engine.Failed e ->
+          Alcotest.(check string) sql cls (Errors.error_class e)
+      | _ -> Alcotest.failf "%s: expected a failure" sql
+      | exception e -> Alcotest.failf "%s raised %s" sql (Printexc.to_string e));
+      (match Engine.exec_session sess "select a from t" with
+      | Engine.Rows r ->
+          Alcotest.(check int) (sql ^ ": session still answers") 1
+            (Relation.cardinality r)
+      | _ -> Alcotest.failf "%s: select after the failure" sql);
+      Engine.set_read_only db None)
+    rows
 
 let test_engine_explain () =
   let db = Lazy.force db_small in
@@ -219,6 +268,8 @@ let suite =
     Alcotest.test_case "tpch group structure" `Quick test_tpch_group_structure;
     Alcotest.test_case "tpch price formula" `Quick test_tpch_price_formula;
     Alcotest.test_case "engine DDL + query" `Quick test_engine_ddl_and_query;
+    Alcotest.test_case "engine errors are Failed outcomes" `Quick
+      test_engine_errors_are_failed;
     Alcotest.test_case "engine explain" `Quick test_engine_explain;
     Alcotest.test_case "engine optimizer toggle" `Quick
       test_engine_optimizer_toggle;

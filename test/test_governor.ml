@@ -126,15 +126,16 @@ let test_set_unknown_knob_fails_typed () =
   | Engine.Failed (Errors.Name_error m) ->
       Alcotest.(check string) "unknown knob" "unknown SET knob wibble" m
   | _ -> Alcotest.fail "expected a typed failure");
-  (* a script mixing SET and queries keeps going after the bad knob *)
-  let outcomes =
-    Engine.exec_script db
-      "create table t (a int); insert into t values (1); \
-       set wibble = 3; set statement_row_limit = 10; select a from t"
-  in
-  match outcomes with
-  | [ _; _; Engine.Failed _; Engine.Message _; Engine.Rows _ ] -> ()
-  | _ -> Alcotest.fail "script should survive a bad SET"
+  (* the session keeps going after the bad knob *)
+  Support.exec_ok db "create table t (a int)";
+  Support.exec_ok db "insert into t values (1)";
+  (match Engine.exec db "set wibble = 3" with
+  | Engine.Failed (Errors.Name_error _) -> ()
+  | _ -> Alcotest.fail "expected a typed failure");
+  Support.exec_ok db "set statement_row_limit = 10";
+  match Engine.exec db "select a from t" with
+  | Engine.Rows _ -> ()
+  | _ -> Alcotest.fail "the session should survive a bad SET"
 
 (* ---------- memory ceiling ---------- *)
 
@@ -217,8 +218,8 @@ let test_memory_downgrade_visible_in_analyze () =
 
 let test_prepare_failure_paths () =
   let db = Engine.create () in
-  ignore (Engine.exec db "create table t (a int)");
-  ignore (Engine.exec db "insert into t values (1), (2)");
+  Support.exec_ok db "create table t (a int)";
+  Support.exec_ok db "insert into t values (1), (2)";
   (* PREPARE over an unknown table fails typed, engine unharmed *)
   (match Engine.exec db "prepare p as select a from nope" with
   | Engine.Failed e ->
@@ -238,14 +239,14 @@ let test_prepare_failure_paths () =
   (match Engine.exec db "prepare p as select a from t" with
   | Engine.Message _ -> ()
   | _ -> Alcotest.fail "expected prepare to succeed");
-  ignore (Engine.exec db "drop table t");
+  Support.exec_ok db "drop table t";
   (match Engine.exec db "execute p" with
   | Engine.Failed e ->
       Alcotest.(check bool) "stale re-prepare fails typed" true
         (Errors.is_engine_error e)
   | _ -> Alcotest.fail "expected a typed failure");
   (* and the engine still runs statements afterwards *)
-  ignore (Engine.exec db "create table t2 (b int)");
+  Support.exec_ok db "create table t2 (b int)";
   match Engine.exec db "select b from t2" with
   | Engine.Rows _ -> ()
   | _ -> Alcotest.fail "engine must survive the failure parade"
@@ -254,17 +255,17 @@ let test_prepare_failure_paths () =
 
 let test_failed_insert_is_atomic () =
   let db = Engine.create () in
-  ignore (Engine.exec db "create table t (a int)");
-  ignore (Engine.exec db "insert into t values (1)");
+  Support.exec_ok db "create table t (a int)";
+  Support.exec_ok db "insert into t values (1)";
   let cat = Engine.catalog db in
   let gen_before = Catalog.generation cat in
   let version_before = Table.version (Catalog.find_table cat "t") in
   (* row 2 has a non-literal value: the whole INSERT must fail without
      inserting row 1 of the statement or bumping any version *)
-  (try
-     ignore (Engine.exec db "insert into t values (7), (a)");
-     Alcotest.fail "expected the insert to fail"
-   with e -> Alcotest.(check bool) "typed" true (Errors.is_engine_error e));
+  (match Engine.exec db "insert into t values (7), (a)" with
+  | Engine.Failed e ->
+      Alcotest.(check string) "typed" "name" (Errors.error_class e)
+  | _ -> Alcotest.fail "expected the insert to fail");
   Alcotest.(check int) "no rows leaked" 1
     (Table.cardinality (Catalog.find_table cat "t"));
   Alcotest.(check int) "table version unchanged" version_before

@@ -216,8 +216,7 @@ let test_failed_multirow_insert_in_txn () =
   (* second row has the wrong arity: the whole statement must fail,
      staging nothing — not even its first row *)
   (match Engine.exec_session sess "insert into t values (2, 'also ok'), (3)" with
-  | Engine.Failed _ -> ()
-  | exception e when Errors.is_engine_error e -> ()
+  | Engine.Failed (Errors.Exec_error _) -> ()
   | _ -> Alcotest.fail "expected the malformed insert to fail");
   if Engine.mvcc_enabled db then
     Alcotest.(check int)
@@ -233,8 +232,7 @@ let test_failed_multirow_insert_in_txn () =
      nothing and leaves the transaction usable *)
   msg_exn (Engine.exec_session sess "begin");
   (match Engine.exec_session sess "insert into nosuch values (1)" with
-  | Engine.Failed _ -> ()
-  | exception e when Errors.is_engine_error e -> ()
+  | Engine.Failed (Errors.Name_error _) -> ()
   | _ -> Alcotest.fail "expected the unknown-table insert to fail");
   msg_exn (Engine.exec_session sess "insert into t values (4, 'ok')");
   msg_exn (Engine.exec_session sess "commit");
@@ -454,7 +452,7 @@ let run_history (program : ptxn list list) (picks : int list) =
   Array.iter
     (fun (c : scursor) ->
       if Engine.in_transaction c.sess then
-        ignore (Engine.exec_session c.sess "rollback"))
+        Support.session_ok c.sess "rollback")
     cursors;
   let final_digest = Recovery.db_digest (Engine.catalog db) in
   (* serial replay of exactly the committed transactions, in commit

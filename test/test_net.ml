@@ -651,8 +651,8 @@ let test_server_drain_under_load () =
 
 let test_server_idle_timeout () =
   with_server (server_cfg ~idle_timeout_ms:80 ()) (fun db srv stats ->
-      ignore (Engine.exec db "create table ping (a int)");
-      ignore (Engine.exec db "insert into ping values (1)");
+      Support.exec_ok db "create table ping (a int)";
+      Support.exec_ok db "insert into ping values (1)";
       let c = Net_client.connect ~port:(Server.port srv) () in
       Unix.sleepf 0.4;
       (match Net_client.query c "select a from ping" with
@@ -696,8 +696,8 @@ let contains hay needle =
 
 let test_server_health_and_metrics () =
   with_server (server_cfg ~http:0 ()) (fun db srv _stats ->
-      ignore (Engine.exec db "create table ping (a int)");
-      ignore (Engine.exec db "insert into ping values (1)");
+      Support.exec_ok db "create table ping (a int)";
+      Support.exec_ok db "insert into ping values (1)";
       let hp =
         match Server.http_port srv with
         | Some p -> p

@@ -13,7 +13,7 @@ let check_rel = Alcotest.testable Relation.pp Relation.equal_as_list
 let small_db () =
   let db = Engine.create () in
   List.iter
-    (fun src -> ignore (Engine.exec db src))
+    (Support.exec_ok db)
     [
       "create table t (a int, b varchar)";
       "insert into t values (1, 'x'), (2, 'y'), (3, 'z')";
@@ -41,17 +41,6 @@ let test_warm_hit_identity () =
   Alcotest.(check bool) "saved time > 0" true (s2.Cache_stats.saved_ns > 0);
   Alcotest.(check bool) "entry present" true
     (Engine.cached_plan db q_t <> None)
-
-let test_exec_script_warms_cache () =
-  let db = small_db () in
-  let script = Printf.sprintf "%s; %s" q_t q_t in
-  (match Engine.exec_script db script with
-  | [ Engine.Rows a; Engine.Rows b ] ->
-      Alcotest.check check_rel "script results agree" a b
-  | _ -> Alcotest.fail "expected two row outcomes");
-  let s = snap db in
-  Alcotest.(check int) "second statement hit" 1 s.Cache_stats.hits;
-  Alcotest.(check int) "one preparation" 1 s.Cache_stats.misses
 
 (* ---------- invalidation ---------- *)
 
@@ -85,7 +74,7 @@ let test_ddl_evicts_everything () =
   let db = small_db () in
   ignore (Engine.query db q_t);
   ignore (Engine.query db q_u);
-  ignore (Engine.exec db "create index t_a on t (a)");
+  Support.exec_ok db "create index t_a on t (a)";
   let s = snap db in
   Alcotest.(check int) "generation bump invalidates both" 2
     s.Cache_stats.invalidations;
@@ -163,7 +152,7 @@ let test_parallelism_and_partition_key_split () =
 let test_lru_eviction () =
   let db' = Engine.create ~cache_capacity:2 () in
   List.iter
-    (fun src -> ignore (Engine.exec db' src))
+    (Support.exec_ok db')
     [
       "create table t (a int, b varchar)";
       "insert into t values (1, 'x'), (2, 'y')";
@@ -198,7 +187,7 @@ let test_prepared_reuse_and_reprepare () =
   Alcotest.(check int) "handle replays are hits" 2 s1.Cache_stats.hits;
   Alcotest.(check int) "no recompilation" 1 s1.Cache_stats.misses;
   (* DML on the dependency: the handle transparently re-prepares *)
-  ignore (Engine.exec db "insert into t values (9, 'q')");
+  Support.exec_ok db "insert into t values (9, 'q')";
   let r3 = Engine.exec_prepared db h in
   Alcotest.(check int) "re-prepared plan sees new row" 3
     (Relation.cardinality r3);
@@ -242,7 +231,7 @@ let test_sql_prepare_execute_deallocate () =
 let test_disabled_cache_counts_nothing () =
   let db = Engine.create ~plan_cache:false () in
   List.iter
-    (fun src -> ignore (Engine.exec db src))
+    (Support.exec_ok db)
     [ "create table t (a int, b varchar)"; "insert into t values (1, 'x')" ];
   let r1 = Engine.query db "select a from t" in
   let r2 = Engine.query db "select a from t" in
@@ -279,8 +268,6 @@ let warm_suite =
   [
     Alcotest.test_case "warm hit: identical rows, counted once" `Quick
       test_warm_hit_identity;
-    Alcotest.test_case "exec_script shares the cache" `Quick
-      test_exec_script_warms_cache;
     Alcotest.test_case "DML evicts exactly the dependent entries" `Quick
       test_dml_evicts_only_dependents;
     Alcotest.test_case "DDL (create index) evicts everything" `Quick

@@ -191,8 +191,8 @@ let prop_cache_differential =
       let cold = Engine.create ~plan_cache:false () in
       List.iter
         (fun src ->
-          ignore (Engine.exec warm src);
-          ignore (Engine.exec cold src))
+          exec_ok warm src;
+          exec_ok cold src)
         [
           "create table t1 (a int, c float)";
           "insert into t1 values (1, 1.5), (2, 0.5), (3, 2.5)";
@@ -221,8 +221,8 @@ let prop_cache_differential =
                 && Relation.equal_as_list w1 c1
                 && Relation.equal_as_multiset reference w1
             | DI ins ->
-                ignore (Engine.exec warm ins);
-                ignore (Engine.exec cold ins);
+                exec_ok warm ins;
+                exec_ok cold ins;
                 true
             | DX on_t1 ->
                 incr fresh;
@@ -231,8 +231,8 @@ let prop_cache_differential =
                     Printf.sprintf "create index d%d on t1 (a)" !fresh
                   else Printf.sprintf "create index d%d on t2 (k)" !fresh
                 in
-                ignore (Engine.exec warm ddl);
-                ignore (Engine.exec cold ddl);
+                exec_ok warm ddl;
+                exec_ok cold ddl;
                 true)
           ops
       in

@@ -58,9 +58,6 @@ let server_cfg ?(port = 0) ?(max_concurrent = 4) ?(queue_depth = 16)
     http_port = None;
   }
 
-let exec_ok db sql =
-  match Engine.exec db sql with Engine.Failed e -> raise e | _ -> ()
-
 let count db sql =
   match Engine.exec db sql with
   | Engine.Rows r -> Relation.cardinality r
@@ -259,11 +256,10 @@ let test_disk_full_degrade () =
       Wal.set_write_fault None;
       Engine.close db)
     (fun () ->
-      exec_ok db "create table t (a int)";
-      exec_ok db "insert into t values (1)";
+      Support.exec_ok db "create table t (a int)";
+      Support.exec_ok db "insert into t values (1)";
       Wal.set_write_fault (Some (fun () -> Some Wal.Enospc));
       (match Engine.exec db "insert into t values (2)" with
-      | exception Errors.Disk_full _ -> ()
       | Engine.Failed (Errors.Disk_full _) -> ()
       | _ -> Alcotest.fail "ENOSPC append must surface as Disk_full");
       Wal.set_write_fault None;
@@ -273,14 +269,13 @@ let test_disk_full_degrade () =
       | Some { Errors.primary = None; _ } -> ()
       | _ -> Alcotest.fail "engine must degrade to read-only, no primary");
       (match Engine.exec db "insert into t values (3)" with
-      | exception Errors.Read_only _ -> ()
       | Engine.Failed (Errors.Read_only _) -> ()
       | _ -> Alcotest.fail "writes after the degrade must be refused");
       Alcotest.(check int) "reads still served" 1
         (count db "select a from t where a = 1");
       (* operator re-enables writes once space is back *)
       Engine.set_read_only db None;
-      exec_ok db "insert into t values (4)");
+      Support.exec_ok db "insert into t values (4)");
   (* the acknowledged writes (1 and 4) survive recovery; the failed
      statement (2) was never acknowledged and may not *)
   let recovered = Engine.create ~data_dir:dir () in
@@ -306,9 +301,9 @@ let with_pair f =
 
 let test_repl_basic () =
   with_pair (fun ~pdir:_ ~rdir:_ ~pdb ~rdb ~srv:_ ~port ->
-      exec_ok pdb "create table kv (k int)";
+      Support.exec_ok pdb "create table kv (k int)";
       for i = 1 to 5 do
-        exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
+        Support.exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
       done;
       let rep = Repl.start_replica ~host:"127.0.0.1" ~port rdb in
       Fun.protect
@@ -319,10 +314,6 @@ let test_repl_basic () =
           (* a write on the replica is refused with a redirect naming
              the primary, and reads keep working *)
           (match Engine.exec rdb "insert into kv values (99)" with
-          | exception Errors.Read_only { primary = Some p; _ } ->
-              Alcotest.(check string) "redirect names the primary"
-                (Printf.sprintf "127.0.0.1:%d" port)
-                p
           | Engine.Failed (Errors.Read_only { primary = Some p; _ }) ->
               Alcotest.(check string) "redirect names the primary"
                 (Printf.sprintf "127.0.0.1:%d" port)
@@ -332,7 +323,7 @@ let test_repl_basic () =
             (count rdb "select k from kv");
           (* live streaming: new commits arrive without a re-subscribe *)
           for i = 6 to 8 do
-            exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
+            Support.exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
           done;
           await_caught_up "streaming" pdb rep;
           check_digest_parity "after streaming" pdb rdb;
@@ -341,9 +332,9 @@ let test_repl_basic () =
 
 let test_repl_restart_resume () =
   with_pair (fun ~pdir:_ ~rdir ~pdb ~rdb ~srv:_ ~port ->
-      exec_ok pdb "create table kv (k int)";
+      Support.exec_ok pdb "create table kv (k int)";
       for i = 1 to 3 do
-        exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
+        Support.exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
       done;
       let rep = Repl.start_replica ~host:"127.0.0.1" ~port rdb in
       await_caught_up "initial" pdb rep;
@@ -351,7 +342,7 @@ let test_repl_restart_resume () =
       Engine.close rdb;
       (* the primary moves on while the replica is down *)
       for i = 4 to 5 do
-        exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
+        Support.exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
       done;
       let rdb2 = Engine.create ~data_dir:rdir ~durability:Store.Strict () in
       Fun.protect
@@ -374,9 +365,9 @@ let test_repl_restart_resume () =
 
 let test_repl_checkpoint_resync () =
   with_pair (fun ~pdir:_ ~rdir:_ ~pdb ~rdb ~srv:_ ~port ->
-      exec_ok pdb "create table kv (k int)";
+      Support.exec_ok pdb "create table kv (k int)";
       for i = 1 to 3 do
-        exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
+        Support.exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
       done;
       let rep = Repl.start_replica ~host:"127.0.0.1" ~port rdb in
       Fun.protect
@@ -388,7 +379,7 @@ let test_repl_checkpoint_resync () =
              a fresh snapshot on the same connection *)
           ignore (Engine.checkpoint pdb);
           for i = 4 to 5 do
-            exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
+            Support.exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
           done;
           await_caught_up "post-checkpoint" pdb rep;
           check_digest_parity "after checkpoint re-sync" pdb rdb;
@@ -397,13 +388,13 @@ let test_repl_checkpoint_resync () =
 
 let test_repl_bootstrap_race () =
   with_pair (fun ~pdir:_ ~rdir:_ ~pdb ~rdb ~srv:_ ~port ->
-      exec_ok pdb "create table kv (k int)";
+      Support.exec_ok pdb "create table kv (k int)";
       (* snapshot transfer races a continuous stream of commits *)
       let writer =
         Thread.create
           (fun () ->
             for i = 1 to 40 do
-              exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i);
+              Support.exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i);
               Thread.delay 0.001
             done)
           ()
@@ -537,9 +528,9 @@ let start_flipping_proxy ~dst_port =
 
 let test_repl_torn_stream () =
   with_pair (fun ~pdir:_ ~rdir:_ ~pdb ~rdb ~srv:_ ~port ->
-      exec_ok pdb "create table kv (k int)";
+      Support.exec_ok pdb "create table kv (k int)";
       for i = 1 to 3 do
-        exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
+        Support.exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
       done;
       let pport, stop_proxy = start_flipping_proxy ~dst_port:port in
       let rep = Repl.start_replica ~host:"127.0.0.1" ~port:pport rdb in
@@ -554,7 +545,7 @@ let test_repl_torn_stream () =
              payload: the applier's CRC re-validation must catch it,
              drop the stream, and re-subscribe from the durable mark *)
           for i = 4 to 6 do
-            exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
+            Support.exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
           done;
           await_caught_up "recovery from the torn stream" pdb rep;
           let s = Repl_stats.snapshot (Repl.replica_stats rep) in
@@ -570,17 +561,17 @@ let test_repl_torn_stream () =
 
 let test_promote_rewind_rejected () =
   with_pair (fun ~pdir:_ ~rdir:_ ~pdb ~rdb ~srv:_ ~port ->
-      exec_ok pdb "create table kv (k int)";
+      Support.exec_ok pdb "create table kv (k int)";
       for i = 1 to 3 do
-        exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
+        Support.exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
       done;
       let rep = Repl.start_replica ~host:"127.0.0.1" ~port rdb in
       await_caught_up "pre-failover" pdb rep;
       (* failover: the replica becomes the writable primary... *)
       Repl.promote rep;
-      exec_ok rdb "insert into kv values (100)";
+      Support.exec_ok rdb "insert into kv values (100)";
       (* ...while the old primary, unaware, takes a conflicting write *)
-      exec_ok pdb "insert into kv values (200)";
+      Support.exec_ok pdb "insert into kv values (200)";
       let bsrv = Server.start (server_cfg ()) rdb in
       Fun.protect
         ~finally:(fun () -> Server.stop ~drain_timeout_ms:3000 bsrv)
@@ -610,12 +601,12 @@ let test_promote_rewind_rejected () =
 
 let test_promoted_history_flagged_on_restart () =
   with_pair (fun ~pdir:_ ~rdir ~pdb ~rdb ~srv:_ ~port ->
-      exec_ok pdb "create table kv (k int)";
-      exec_ok pdb "insert into kv values (1)";
+      Support.exec_ok pdb "create table kv (k int)";
+      Support.exec_ok pdb "insert into kv values (1)";
       let rep = Repl.start_replica ~host:"127.0.0.1" ~port rdb in
       await_caught_up "pre-promote" pdb rep;
       Repl.promote rep;
-      exec_ok rdb "insert into kv values (2)";
+      Support.exec_ok rdb "insert into kv values (2)";
       Engine.close rdb;
       (* recovery sees commits after the last mark: this directory can
          no longer claim to be a prefix of any primary *)
@@ -634,7 +625,7 @@ let chaos_one seed =
   let pdb0 = Engine.create ~data_dir:pdir ~durability:Store.Strict () in
   let srv0 = Server.start (server_cfg ()) pdb0 in
   let port = Server.port srv0 in
-  exec_ok pdb0 "create table kv (k int)";
+  Support.exec_ok pdb0 "create table kv (k int)";
   let pdb = ref pdb0 and srv = ref (Some srv0) in
   let rdb = Engine.create ~data_dir:rdir ~durability:Store.Strict () in
   let rep = Repl.start_replica ~seed ~host:"127.0.0.1" ~port rdb in
@@ -707,7 +698,7 @@ let chaos_one seed =
       | None -> ());
       srv := None;
       Repl.promote rep;
-      exec_ok rdb (Printf.sprintf "insert into kv values (%d)" ((seed * 1000) + 999));
+      Support.exec_ok rdb (Printf.sprintf "insert into kv values (%d)" ((seed * 1000) + 999));
       List.iter
         (fun v ->
           if count rdb (Printf.sprintf "select k from kv where k = %d" v) < 1

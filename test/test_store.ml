@@ -28,8 +28,6 @@ let msg_or_fail = function
   | Engine.Explanation _ -> "explanation"
   | Engine.Failed e -> Alcotest.failf "statement failed: %s" (Errors.to_string e)
 
-let exec_ok db sql = ignore (msg_or_fail (Engine.exec db sql))
-
 let digest db = Recovery.db_digest (Engine.catalog db)
 
 (* ---------- WAL codec ---------- *)
@@ -196,18 +194,18 @@ let test_wal_uncommitted_tail_quarantined () =
 let test_engine_txn_commit_durable () =
   let dir = tmpdir () in
   let db = Engine.create ~data_dir:dir ~durability:Store.Strict () in
-  exec_ok db "create table t (a int, b text)";
+  Support.exec_ok db "create table t (a int, b text)";
   let sess = Engine.new_session db in
-  exec_ok db "insert into t values (1, 'auto')";
-  ignore (Engine.exec_session sess "begin");
-  ignore (Engine.exec_session sess "insert into t values (2, 'txn')");
-  ignore (Engine.exec_session sess "insert into t values (3, 'txn')");
+  Support.exec_ok db "insert into t values (1, 'auto')";
+  Support.session_ok sess "begin";
+  Support.session_ok sess "insert into t values (2, 'txn')";
+  Support.session_ok sess "insert into t values (3, 'txn')";
   (match Engine.exec_session sess "commit" with
   | Engine.Message _ -> ()
   | o -> Alcotest.failf "commit failed: %s" (msg_or_fail o));
   (* a second transaction stays open: staged rows are memory-only *)
-  ignore (Engine.exec_session sess "begin");
-  ignore (Engine.exec_session sess "insert into t values (99, 'lost')");
+  Support.session_ok sess "begin";
+  Support.session_ok sess "insert into t values (99, 'lost')";
   let before = digest db in
   (* abandon without close: strict mode means every *acknowledged*
      commit is already durable *)
@@ -338,10 +336,10 @@ let test_snapshot_corruption_detected () =
 let test_persistence_across_engines () =
   let dir = tmpdir () in
   let db = Engine.create ~data_dir:dir () in
-  exec_ok db "create table t (a int, b text, primary key (a))";
-  exec_ok db "insert into t values (1, 'x'), (2, 'y')";
-  exec_ok db "create index t_a on t (a)";
-  exec_ok db "insert into t values (3, 'z')";
+  Support.exec_ok db "create table t (a int, b text, primary key (a))";
+  Support.exec_ok db "insert into t values (1, 'x'), (2, 'y')";
+  Support.exec_ok db "create index t_a on t (a)";
+  Support.exec_ok db "insert into t values (3, 'z')";
   let reference = digest db in
   Engine.close db;
   let db2 = Engine.create ~data_dir:dir () in
@@ -358,13 +356,13 @@ let test_persistence_across_engines () =
 let test_checkpoint_and_suffix_replay () =
   let dir = tmpdir () in
   let db = Engine.create ~data_dir:dir () in
-  exec_ok db "create table t (a int)";
-  exec_ok db "insert into t values (1)";
+  Support.exec_ok db "create table t (a int)";
+  Support.exec_ok db "insert into t values (1)";
   ignore (Engine.checkpoint db);
   Alcotest.(check bool) "snapshot exists" true
     (Sys.file_exists (Recovery.snapshot_path dir));
   (* post-checkpoint statements land in the fresh epoch-1 log *)
-  exec_ok db "insert into t values (2)";
+  Support.exec_ok db "insert into t values (2)";
   let reference = digest db in
   Engine.close db;
   let db2 = Engine.create ~data_dir:dir () in
@@ -381,8 +379,8 @@ let test_checkpoint_and_suffix_replay () =
 let test_durability_off_no_wal_traffic () =
   let dir = tmpdir () in
   let db = Engine.create ~data_dir:dir ~durability:Store.Off () in
-  exec_ok db "create table t (a int)";
-  exec_ok db "insert into t values (1)";
+  Support.exec_ok db "create table t (a int)";
+  Support.exec_ok db "insert into t values (1)";
   (match Engine.wal_stats db with
   | Some s ->
       Alcotest.(check int) "no appends under off" 0 s.Wal_stats.appends;
@@ -390,8 +388,8 @@ let test_durability_off_no_wal_traffic () =
   | None -> Alcotest.fail "expected wal stats");
   (* switching to strict re-bases through a checkpoint: the off-mode
      state must survive a crash from here on *)
-  ignore (Engine.exec db "set durability = strict");
-  exec_ok db "insert into t values (2)";
+  Support.exec_ok db "set durability = strict";
+  Support.exec_ok db "insert into t values (2)";
   let reference = digest db in
   Engine.close db;
   let db2 = Engine.create ~data_dir:dir () in
@@ -404,9 +402,9 @@ let test_lazy_group_commit_batches () =
   let db =
     Engine.create ~data_dir:dir ~durability:Store.Lazy ~wal_group_commit:8 ()
   in
-  exec_ok db "create table t (a int)";
+  Support.exec_ok db "create table t (a int)";
   for i = 1 to 20 do
-    exec_ok db (Printf.sprintf "insert into t values (%d)" i)
+    Support.exec_ok db (Printf.sprintf "insert into t values (%d)" i)
   done;
   (match Engine.wal_stats db with
   | Some s ->
@@ -428,8 +426,8 @@ let test_lazy_group_commit_batches () =
 let test_strict_is_durable_without_close () =
   let dir = tmpdir () in
   let db = Engine.create ~data_dir:dir ~durability:Store.Strict () in
-  exec_ok db "create table t (a int)";
-  exec_ok db "insert into t values (1), (2), (3)";
+  Support.exec_ok db "create table t (a int)";
+  Support.exec_ok db "insert into t values (1), (2), (3)";
   let reference = digest db in
   (* abandon the engine without close: strict mode means every
      acknowledged statement is already on disk *)
@@ -441,8 +439,8 @@ let test_strict_is_durable_without_close () =
 let test_wal_dump_renders () =
   let dir = tmpdir () in
   let db = Engine.create ~data_dir:dir () in
-  exec_ok db "create table t (a int)";
-  exec_ok db "insert into t values (1)";
+  Support.exec_ok db "create table t (a int)";
+  Support.exec_ok db "insert into t values (1)";
   Engine.close db;
   let out = Format.asprintf "%a" Wal.dump (Recovery.wal_path dir) in
   let contains needle =
@@ -462,8 +460,8 @@ let test_wal_dump_renders () =
 
 let test_arity_mismatch_insert_is_atomic () =
   let db = Engine.create () in
-  exec_ok db "create table t (a int, b int)";
-  exec_ok db "insert into t values (1, 2)";
+  Support.exec_ok db "create table t (a int, b int)";
+  Support.exec_ok db "insert into t values (1, 2)";
   let cat = Engine.catalog db in
   let version_before = Table.version (Catalog.find_table cat "t") in
   (* row 2 has the wrong arity; binding succeeds (literals bind without
@@ -471,9 +469,8 @@ let test_arity_mismatch_insert_is_atomic () =
      all-or-nothing batch must leave no partial rows and no version
      bump *)
   (match Engine.exec db "insert into t values (3, 4), (5)" with
-  | exception e when Errors.is_engine_error e -> ()
   | Engine.Failed e ->
-      Alcotest.(check bool) "typed engine error" true (Errors.is_engine_error e)
+      Alcotest.(check string) "typed engine error" "exec" (Errors.error_class e)
   | _ -> Alcotest.fail "expected the insert to fail");
   Alcotest.(check int) "no partial rows" 1
     (Table.cardinality (Catalog.find_table cat "t"));
@@ -518,15 +515,14 @@ let test_qcheck_crash_recover_roundtrip =
          statements still fail (double create, drop of a dropped table)
          — they must fail identically on both sides and log nothing *)
       for i = 0 to 2 do
-        exec_ok durable (Printf.sprintf "create table h%d (a int, b int)" i);
-        exec_ok reference (Printf.sprintf "create table h%d (a int, b int)" i)
+        Support.exec_ok durable (Printf.sprintf "create table h%d (a int, b int)" i);
+        Support.exec_ok reference (Printf.sprintf "create table h%d (a int, b int)" i)
       done;
       let attempt db sql =
         match Engine.exec db sql with
         | Engine.Message _ -> `Ok
         | Engine.Failed _ -> `Err
         | _ -> `Other
-        | exception e when Errors.is_engine_error e -> `Err
       in
       List.iteri
         (fun i sql ->

@@ -99,7 +99,7 @@ let test_batch_size_knob () =
   | Engine.Message m -> Alcotest.(check string) "confirmed" "batch_size = 7" m
   | _ -> Alcotest.fail "set batch_size = 7 should succeed");
   Alcotest.(check int) "knob set" 7 (Engine.batch_size db);
-  ignore (Engine.exec db "set batch_size = default");
+  exec_ok db "set batch_size = default";
   Alcotest.(check int) "knob reset" Compile.default_batch_size
     (Engine.batch_size db);
   let raises f =

@@ -35,6 +35,8 @@
                    time vs WAL length / snapshot
      vectorized    batch-size sweep on warm Q1 and per-operator
                    size-1-vs-default EXPLAIN ANALYZE speedups
+     render        Q1's result table through the renderer: bytes, time
+                   and allocated words per rendered byte
      micro         Bechamel micro-benchmarks of the core operators
 
    Usage:
@@ -1775,6 +1777,46 @@ let bench_replication ~msf:_ ~repeat:_ () =
     ];
   Engine.close rdb
 
+(* ---------- section: result rendering ---------- *)
+
+(* The table text every Rows response carries, for Q1's result: bytes
+   rendered, the median render time, and words allocated per rendered
+   byte.  Allocated words are minor + major - promoted, so a promoted
+   word counts once; the count is deterministic for a given table, so
+   it carries the CI gate. *)
+let allocated_words f =
+  Gc.minor ();
+  let m0 = Gc.minor_words () and s0 = Gc.quick_stat () in
+  let r = f () in
+  let m1 = Gc.minor_words () and s1 = Gc.quick_stat () in
+  ( r,
+    m1 -. m0
+    +. (s1.Gc.major_words -. s0.Gc.major_words)
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words) )
+
+let bench_render ~msf ~repeat () =
+  header (Printf.sprintf "Result rendering: Q1's table (msf %g)" msf);
+  let db = Engine.create () in
+  Engine.load_tpch db ~msf;
+  let name, src, _ = List.hd Workloads.figure8_queries in
+  let rel = Engine.query db src in
+  ignore (Relation.to_string rel);
+  let text, words = allocated_words (fun () -> Relation.to_string rel) in
+  let bytes = String.length text in
+  let words_per_byte = words /. float_of_int bytes in
+  let t = time_runs ~repeat (fun () -> Relation.to_string rel) in
+  Format.printf "%s: %d rows, %d bytes in %.2f ms, %.3f words/byte@." name
+    (Relation.cardinality rel) bytes (ms t) words_per_byte;
+  record ~section:"render" ~query:name
+    [
+      ("rows", Json.Int (Relation.cardinality rel));
+      ("bytes", Json.Int bytes);
+      ("render_ms", Json.Float (ms t));
+      ("allocated_words", Json.Float words);
+      ("words_per_byte", Json.Float words_per_byte);
+    ];
+  Engine.close db
+
 (* ---------- driver ---------- *)
 
 let all_sections =
@@ -1782,7 +1824,7 @@ let all_sections =
     "figure8"; "table1"; "partitioning"; "parallel"; "clientsim";
     "pipeline"; "ablation"; "analyze"; "throughput"; "transactions";
     "governor"; "durability"; "vectorized"; "server"; "replication";
-    "micro";
+    "render"; "micro";
   ]
 
 let run_section ~msf ~repeat = function
@@ -1801,6 +1843,7 @@ let run_section ~msf ~repeat = function
   | "vectorized" -> bench_vectorized ~msf ~repeat ()
   | "server" -> bench_server ~msf ~repeat ()
   | "replication" -> bench_replication ~msf ~repeat ()
+  | "render" -> bench_render ~msf ~repeat ()
   | "micro" -> bench_micro ()
   | other ->
       Format.eprintf "unknown section %s (known: %s)@." other

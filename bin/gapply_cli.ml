@@ -31,7 +31,7 @@ open Cmdliner
 
 let print_outcome timing elapsed = function
   | Engine.Rows rel -> (
-      Format.printf "%a" Relation.pp rel;
+      print_string (Relation.to_string rel);
       if timing then Format.printf "(%.1f ms)@." (1000. *. elapsed))
   | Engine.Message m -> Format.printf "%s@." m
   | Engine.Explanation text -> (
@@ -54,7 +54,7 @@ let run_statement db ~timing ~analyze src =
     if analyze && is_plain_select src then
       Engine.catch_errors (fun () ->
           let rel, report = Engine.analyze db src in
-          Engine.Explanation (Format.asprintf "%a%s" Relation.pp rel report))
+          Engine.Explanation (Relation.to_string rel ^ report))
     else Engine.exec db src
   in
   print_outcome timing (Unix.gettimeofday () -. t0) outcome;

@@ -8,7 +8,7 @@ let section title = Format.printf "@.=== %s ===@." title
 let show db src =
   Format.printf "@.sql> %s@." src;
   match Engine.exec db src with
-  | Engine.Rows rel -> Format.printf "%a" Relation.pp rel
+  | Engine.Rows rel -> print_string (Relation.to_string rel)
   | Engine.Message m -> Format.printf "%s@." m
   | Engine.Explanation text -> Format.printf "%s" text
   | Engine.Failed e -> Format.printf "error: %s@." (Errors.to_string e)

@@ -6,7 +6,7 @@
       let db = Engine.create () in
       Engine.load_tpch db ~msf:1.0;
       match Engine.exec db "select gapply(...) ... group by k : g" with
-      | Engine.Rows rel -> Format.printf "%a" Relation.pp rel
+      | Engine.Rows rel -> print_string (Relation.to_string rel)
       | _ -> ...
     ]}
 

@@ -66,42 +66,41 @@ type t = {
 
 (* ---------- outcome -> wire ---------- *)
 
-let response_of_outcome (o : Engine.outcome) : Wire.response =
+(* Whole frames: a result table is rendered straight into its frame. *)
+let frame_of_outcome (o : Engine.outcome) =
   match o with
-  | Engine.Rows rel ->
-      Wire.Rows
-        {
-          count = Relation.cardinality rel;
-          body = Format.asprintf "%a" Relation.pp rel;
-        }
-  | Engine.Message m -> Wire.Message m
-  | Engine.Explanation e -> Wire.Explanation e
+  | Engine.Rows rel -> Wire.rows_frame rel
+  | Engine.Message m -> Wire.frame (Wire.Message m)
+  | Engine.Explanation e -> Wire.frame (Wire.Explanation e)
   | Engine.Failed e ->
-      Wire.Failed { cls = Errors.error_class e; message = Errors.to_string e }
+      Wire.frame
+        (Wire.Failed { cls = Errors.error_class e; message = Errors.to_string e })
 
 (* ---------- connection handling ---------- *)
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let send_quietly fd resp =
+let send_quietly fd frame =
   (* the peer may already be gone (EPIPE, reset); its response is moot *)
-  try Wire.write_response fd resp with
-  | Unix.Unix_error _ | Wire.Protocol_error _ -> ()
+  try Wire.write_all fd frame with Unix.Unix_error _ -> ()
+
+let reply fd resp = send_quietly fd (Wire.frame resp)
 
 let handle_query t sess ?client sql =
   match
     Admission.admit ?client t.adm (fun () -> Engine.exec_session sess sql)
   with
-  | outcome -> response_of_outcome outcome
+  | outcome -> frame_of_outcome outcome
   | exception Errors.Overloaded o ->
-      Wire.Overloaded
-        {
-          queue_depth = o.Errors.queue_depth;
-          retry_after_ms = o.Errors.retry_after_ms;
-          message = Errors.overload_to_string o;
-        }
+      Wire.frame
+        (Wire.Overloaded
+           {
+             queue_depth = o.Errors.queue_depth;
+             retry_after_ms = o.Errors.retry_after_ms;
+             message = Errors.overload_to_string o;
+           })
 
-let handle_meta t sess cmd = ignore t; response_of_outcome (Meta.run sess cmd)
+let handle_meta sess cmd = frame_of_outcome (Meta.run sess cmd)
 
 let repl_status_body t =
   Format.asprintf "repl: %a" Repl_stats.pp
@@ -122,12 +121,12 @@ let connection_loop t fd =
     match Wire.read_request fd with
     | None -> quit := true
     | Some Wire.Quit | Some (Wire.Meta ("\\q" | "\\quit")) ->
-        send_quietly fd Wire.Goodbye;
+        reply fd Wire.Goodbye;
         quit := true
     | Some (Wire.Auth token) ->
         (* the admission-quota identity for the rest of the connection *)
         client := Some token;
-        send_quietly fd (Wire.Message "authenticated")
+        reply fd (Wire.Message "authenticated")
     | Some (Wire.Repl_subscribe { lineage; epoch; offset }) ->
         (* the connection stops speaking request/response and becomes a
            one-way replication stream until drain or disconnect *)
@@ -136,19 +135,19 @@ let connection_loop t fd =
           ~lineage ~epoch ~offset;
         quit := true
     | Some (Wire.Meta "\\repl") ->
-        send_quietly fd (Wire.Message (repl_status_body t))
-    | Some (Wire.Meta cmd) -> send_quietly fd (handle_meta t sess cmd)
+        reply fd (Wire.Message (repl_status_body t))
+    | Some (Wire.Meta cmd) -> send_quietly fd (handle_meta sess cmd)
     | Some (Wire.Query sql) ->
         send_quietly fd (handle_query t sess ?client:!client sql)
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         (* idle past the read timeout: tell the client and reap *)
         Net_stats.idle_timeout t.stats;
-        send_quietly fd Wire.Goodbye;
+        reply fd Wire.Goodbye;
         quit := true
     | exception Wire.Protocol_error m ->
         (* a confused client gets one typed frame, then the close *)
         Net_stats.protocol_error t.stats;
-        send_quietly fd (Wire.Failed { cls = "protocol"; message = m });
+        reply fd (Wire.Failed { cls = "protocol"; message = m });
         quit := true
     | exception Unix.Unix_error _ -> quit := true
   done

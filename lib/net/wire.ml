@@ -64,13 +64,20 @@ type response =
 
 (* ---------- payload primitives ---------- *)
 
-let put_u32 buf n =
+let check_u32 n =
   if n < 0 || n > 0xFFFFFFFF then
-    raise (Protocol_error (Printf.sprintf "u32 out of range: %d" n));
+    raise (Protocol_error (Printf.sprintf "u32 out of range: %d" n))
+
+let put_u32 buf n =
+  check_u32 n;
   Buffer.add_char buf (Char.chr (n land 0xff));
   Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
   Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
   Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
+
+let set_u32 b pos n =
+  check_u32 n;
+  Bytes.set_int32_le b pos (Int32.of_int n)
 
 let get_u32 s pos =
   if pos + 4 > String.length s then
@@ -124,10 +131,11 @@ let encode_request = function
 
 let encode_response = function
   | Rows { count; body } ->
-      let buf = Buffer.create (String.length body + 4) in
-      put_u32 buf count;
-      Buffer.add_string buf body;
-      ('R', Buffer.contents buf)
+      let len = String.length body in
+      let payload = Bytes.create (4 + len) in
+      set_u32 payload 0 count;
+      Bytes.blit_string body 0 payload 4 len;
+      ('R', Bytes.unsafe_to_string payload)
   | Message m -> ('m', m)
   | Explanation e -> ('E', e)
   | Failed { cls; message } ->
@@ -252,12 +260,44 @@ let write_all fd s =
     sent := !sent + n
   done
 
-let write_frame fd (tag, payload) =
-  let buf = Buffer.create (String.length payload + 5) in
-  Buffer.add_char buf tag;
-  put_u32 buf (String.length payload);
-  Buffer.add_string buf payload;
-  write_all fd (Buffer.contents buf)
+(* ---------- whole frames ---------- *)
+
+let header_len = 5
+
+let frame_of (tag, payload) =
+  let len = String.length payload in
+  let b = Bytes.create (header_len + len) in
+  Bytes.set b 0 tag;
+  set_u32 b 1 len;
+  Bytes.blit_string payload 0 b header_len len;
+  Bytes.unsafe_to_string b
+
+let frame r = frame_of (encode_response r)
+
+(* The table is rendered once, after room for the frame header and the
+   row count; only those 9 bytes are written afterwards.  The renderer
+   knows the exact length before it allocates, so an oversized table
+   costs its cell texts, never its body. *)
+let rows_frame rel =
+  let reserve = header_len + 4 in
+  match Relation.render ~reserve ~max_len:(max_frame - 4) rel with
+  | Ok b ->
+      Bytes.set b 0 'R';
+      set_u32 b 1 (Bytes.length b - header_len);
+      set_u32 b header_len (Relation.cardinality rel);
+      Bytes.unsafe_to_string b
+  | Error len ->
+      frame
+        (Failed
+           {
+             cls = "result_too_large";
+             message =
+               Printf.sprintf
+                 "result of %d bytes exceeds the %d-byte frame limit"
+                 (len + 4) max_frame;
+           })
+
+let write_frame fd tp = write_all fd (frame_of tp)
 
 (* Returns [None] on a clean EOF at a frame boundary. *)
 let read_frame fd =

@@ -74,8 +74,21 @@ val read_request : Unix.file_descr -> request option
 val read_response : Unix.file_descr -> response option
 
 val write_all : Unix.file_descr -> string -> unit
-(** Complete write of a raw byte string (EINTR-safe); used by the
-    plain-HTTP metrics listener. *)
+(** Complete write of a raw byte string (EINTR-safe): a whole frame
+    from {!frame} or {!rows_frame}, or the plain-HTTP metrics
+    listener's response. *)
+
+val frame : response -> string
+(** The complete frame (header and payload) of a response, built in one
+    exact-size buffer. *)
+
+val rows_frame : Relation.t -> string
+(** The complete ['R'] frame of a result table.  The table is rendered
+    by {!Relation.render} straight into the frame, after the header and
+    row count, so its text is written once and never copied.  A table
+    whose payload would exceed {!max_frame} (which the client would
+    refuse to read) becomes a ['F'] frame of class ["result_too_large"]
+    naming both sizes instead, and no buffer for its text is allocated. *)
 
 (** {1 Raw codec} — exposed for protocol round-trip tests. *)
 

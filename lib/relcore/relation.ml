@@ -80,51 +80,95 @@ let equal_as_list a b =
   Array.length a.rows = Array.length b.rows
   && Array.for_all2 Tuple.equal a.rows b.rows
 
-(** Pretty-print as an aligned ASCII table (used by the CLI and examples). *)
-let pp ppf r =
-  let headers =
-    Array.map
-      (fun (c : Schema.column) ->
-        match c.Schema.source with
-        | None -> c.Schema.cname
-        | Some s -> s ^ "." ^ c.Schema.cname)
-      r.schema
-  in
-  let ncols = Array.length headers in
-  let width = Array.map String.length headers in
-  let cells =
-    Array.map
-      (fun row ->
-        Array.mapi
-          (fun i v ->
-            let s = Value.to_string v in
-            if String.length s > width.(i) then width.(i) <- String.length s;
-            s)
-          (Array.sub row 0 ncols))
-      r.rows
-  in
-  let line ppf () =
-    for i = 0 to ncols - 1 do
-      Format.fprintf ppf "+%s" (String.make (width.(i) + 2) '-')
-    done;
-    Format.fprintf ppf "+@\n"
-  in
-  let row ppf cells =
-    for i = 0 to ncols - 1 do
-      Format.fprintf ppf "| %-*s " width.(i) cells.(i)
-    done;
-    Format.fprintf ppf "|@\n"
+(* Aligned ASCII table, rendered in two passes.  The first builds every
+   cell's text once, headers included, into one flat row-major array and
+   records each column's width.  The second knows the exact output
+   length from the widths alone, so it allocates one [Bytes] and fills it
+   with blits: no [Format] directive per cell and no growing buffer.
+
+   Every line has the same length: per column ["| "] (or ["+-"]), the
+   cell padded to the column width, and [" "] (or ["-"]), then a closing
+   ["|\n"] (or ["+\n"]). *)
+
+let header (c : Schema.column) =
+  match c.Schema.source with
+  | None -> c.Schema.cname
+  | Some s -> s ^ "." ^ c.Schema.cname
+
+let render ?(reserve = 0) ?(max_len = Sys.max_string_length) r =
+  let ncols = Array.length r.schema and nrows = Array.length r.rows in
+  (* one exact-size allocation, or none when the text is too long *)
+  let emit len fill =
+    if len > max_len then Error len
+    else begin
+      let out = Bytes.create (reserve + len) in
+      fill out;
+      Ok out
+    end
   in
   if ncols = 0 then
-    Format.fprintf ppf "(%d row(s) over the empty schema)@\n"
-      (Array.length r.rows)
+    let text = "(" ^ string_of_int nrows ^ " row(s) over the empty schema)\n" in
+    emit (String.length text) (fun out ->
+        Bytes.blit_string text 0 out reserve (String.length text))
   else begin
-    line ppf ();
-    row ppf headers;
-    line ppf ();
-    Array.iter (row ppf) cells;
-    line ppf ();
-    Format.fprintf ppf "(%d row(s))@\n" (Array.length r.rows)
+    (* pass 1: cell text and column widths *)
+    let cells = Array.make ((nrows + 1) * ncols) "" in
+    let width = Array.make ncols 0 in
+    let put k i s =
+      cells.(k) <- s;
+      if String.length s > width.(i) then width.(i) <- String.length s
+    in
+    Array.iteri (fun i c -> put i i (header c)) r.schema;
+    Array.iteri
+      (fun j row ->
+        let base = (j + 1) * ncols in
+        for i = 0 to ncols - 1 do
+          put (base + i) i (Value.to_string row.(i))
+        done)
+      r.rows;
+    (* pass 2: exact length, one allocation, blits and fills *)
+    let line_len = Array.fold_left (fun n w -> n + w + 3) 2 width in
+    let footer = "(" ^ string_of_int nrows ^ " row(s))\n" in
+    let rule = Bytes.make line_len '-' in
+    let p = ref 0 in
+    Array.iter (fun w -> Bytes.set rule !p '+'; p := !p + w + 3) width;
+    Bytes.blit_string "+\n" 0 rule !p 2;
+    emit
+      (((nrows + 4) * line_len) + String.length footer)
+      (fun out ->
+        let pos = ref reserve in
+        let add_rule () =
+          Bytes.blit rule 0 out !pos line_len;
+          pos := !pos + line_len
+        in
+        let add_row k =
+          for i = 0 to ncols - 1 do
+            let s = cells.(k + i) and w = width.(i) and p = !pos in
+            let n = String.length s in
+            Bytes.blit_string "| " 0 out p 2;
+            Bytes.blit_string s 0 out (p + 2) n;
+            Bytes.fill out (p + 2 + n) (w - n + 1) ' ';
+            pos := p + w + 3
+          done;
+          Bytes.blit_string "|\n" 0 out !pos 2;
+          pos := !pos + 2
+        in
+        add_rule ();
+        add_row 0;
+        add_rule ();
+        for j = 1 to nrows do
+          add_row (j * ncols)
+        done;
+        add_rule ();
+        Bytes.blit_string footer 0 out !pos (String.length footer))
   end
 
-let to_string r = Format.asprintf "%a" pp r
+let to_string r =
+  match render r with
+  | Ok out -> Bytes.unsafe_to_string out
+  | Error len ->
+      invalid_arg
+        (Printf.sprintf "Relation.to_string: %d bytes exceed the string limit"
+           len)
+
+let pp ppf r = Format.pp_print_string ppf (to_string r)

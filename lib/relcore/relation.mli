@@ -41,7 +41,26 @@ val equal_as_multiset : t -> t -> bool
 val equal_as_list : t -> t -> bool
 (** Row-for-row equality including order. *)
 
-val pp : Format.formatter -> t -> unit
-(** Aligned ASCII table (used by the CLI and examples). *)
+(** {1 Rendering} *)
+
+val render : ?reserve:int -> ?max_len:int -> t -> (Bytes.t, int) result
+(** [render ~reserve ~max_len r] renders [r] as an aligned ASCII table:
+    a [+---+] rule, the header row (qualified columns as
+    [source.name]), a rule, one [| cell |] line per row with every cell
+    left-aligned and padded to its column's widest text, a closing rule
+    and a [(N row(s))] footer.  An empty schema renders as
+    [(N row(s) over the empty schema)].
+
+    The text is computed in two passes and written once: [Ok out] holds
+    it at offset [reserve] (default 0) of a buffer of exactly [reserve +]
+    its length, leaving the first [reserve] bytes for the caller (the
+    server writes its frame header there).  When the text would be
+    longer than [max_len] (default [Sys.max_string_length]) the result
+    is [Error len] with the length it would have had, and no output
+    buffer is allocated. *)
 
 val to_string : t -> string
+(** The {!render} text as a string (used by the CLI and examples). *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)

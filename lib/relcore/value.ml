@@ -29,12 +29,10 @@ let to_string = function
   | Null -> "NULL"
   | Int i -> string_of_int i
   | Float f ->
-      (* Keep a trailing ".0" so floats round-trip through the parser. *)
-      let s = Printf.sprintf "%.12g" f in
-      if String.contains s '.' || String.contains s 'e' ||
-         String.contains s 'n' (* nan, inf *)
-      then s
-      else s ^ ".0"
+      (* [string_of_float] is [%.12g] with a "." after a bare integer;
+         complete that to ".0" so floats round-trip through the parser. *)
+      let s = string_of_float f in
+      if s.[String.length s - 1] = '.' then s ^ "0" else s
   | Str s -> s
   | Bool b -> if b then "TRUE" else "FALSE"
 

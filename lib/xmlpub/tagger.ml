@@ -96,16 +96,30 @@ let tag_to_buffer (enc : Publish.encoding) (cursor : Cursor.t)
     | Some t -> t
     | None -> "item"
   in
-  Buffer.add_string buf (Printf.sprintf "<%s>" enc.Publish.e_root_tag);
-  let current_key = ref None in
-  let close_current () =
-    if !current_key <> None then
-      Buffer.add_string buf (Printf.sprintf "</%s>" parent_tag)
+  let open_tag tag =
+    Buffer.add_char buf '<';
+    Buffer.add_string buf tag;
+    Buffer.add_char buf '>'
   in
-  let emit_fields branch row =
+  let close_tag tag =
+    Buffer.add_string buf "</";
+    Buffer.add_string buf tag;
+    Buffer.add_char buf '>'
+  in
+  open_tag enc.Publish.e_root_tag;
+  let current_key = ref None in
+  let close_current () = if !current_key <> None then close_tag parent_tag in
+  (* the markup of [field_elements], written straight into [buf] *)
+  let emit_fields (branch : Publish.branch_desc) row =
     List.iter
-      (fun x -> Buffer.add_string buf (Xml.to_string x))
-      (field_elements branch row)
+      (fun (tag, idx) ->
+        match Tuple.get row idx with
+        | Value.Null -> ()
+        | v ->
+            open_tag tag;
+            Xml.add_escaped buf (Value.to_string v);
+            close_tag tag)
+      branch.Publish.b_fields
   in
   Cursor.iter
     (fun row ->
@@ -114,7 +128,7 @@ let tag_to_buffer (enc : Publish.encoding) (cursor : Cursor.t)
       if branch.Publish.b_id = 0 then begin
         close_current ();
         current_key := Some key;
-        Buffer.add_string buf (Printf.sprintf "<%s>" parent_tag);
+        open_tag parent_tag;
         emit_fields branch row
       end
       else begin
@@ -125,14 +139,14 @@ let tag_to_buffer (enc : Publish.encoding) (cursor : Cursor.t)
               "tagger: stream not clustered at row %s" (Tuple.to_string row));
         match branch.Publish.b_tag with
         | Some tag ->
-            Buffer.add_string buf (Printf.sprintf "<%s>" tag);
+            open_tag tag;
             emit_fields branch row;
-            Buffer.add_string buf (Printf.sprintf "</%s>" tag)
+            close_tag tag
         | None -> emit_fields branch row
       end)
     cursor;
   close_current ();
-  Buffer.add_string buf (Printf.sprintf "</%s>" enc.Publish.e_root_tag)
+  close_tag enc.Publish.e_root_tag
 
 (** Publish a view end-to-end with the given strategy. *)
 type strategy = Sorted_outer_union | Gapply_pass

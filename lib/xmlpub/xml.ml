@@ -14,21 +14,35 @@ type t =
 let element ?(attrs = []) tag children = Element (tag, attrs, children)
 let text s = Text s
 
+let entity = function
+  | '<' -> Some "&lt;"
+  | '>' -> Some "&gt;"
+  | '&' -> Some "&amp;"
+  | '"' -> Some "&quot;"
+  | _ -> None
+
+(* Copies the runs between special characters whole, so text with
+   nothing to escape is one [add_string]. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    match entity (String.unsafe_get s i) with
+    | None -> ()
+    | Some e ->
+        Buffer.add_substring buf s !start (i - !start);
+        Buffer.add_string buf e;
+        start := i + 1
+  done;
+  Buffer.add_substring buf s !start (n - !start)
+
 let escape s =
   let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
+  add_escaped buf s;
   Buffer.contents buf
 
 let rec serialize_into buf = function
-  | Text s -> Buffer.add_string buf (escape s)
+  | Text s -> add_escaped buf s
   | Element (tag, attrs, children) ->
       Buffer.add_char buf '<';
       Buffer.add_string buf tag;
@@ -37,7 +51,7 @@ let rec serialize_into buf = function
           Buffer.add_char buf ' ';
           Buffer.add_string buf k;
           Buffer.add_string buf "=\"";
-          Buffer.add_string buf (escape v);
+          add_escaped buf v;
           Buffer.add_char buf '"')
         attrs;
       if children = [] then Buffer.add_string buf "/>"

@@ -13,6 +13,9 @@ val text : string -> t
 val escape : string -> string
 (** XML-escape text content (angle brackets, ampersand, double quote). *)
 
+val add_escaped : Buffer.t -> string -> unit
+(** [add_escaped buf s] appends [escape s] without building it. *)
+
 val to_string : t -> string
 (** Compact one-line serialization (self-closing empty elements). *)
 

@@ -248,6 +248,11 @@ let test_admission_deadline_shed () =
 
 (* ---------- server round trips ---------- *)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 let expect_rows msg = function
   | Wire.Rows { count; body } -> (count, body)
   | r ->
@@ -317,6 +322,44 @@ let test_server_round_trip () =
           match Net_client.quit c with
           | Wire.Goodbye -> ()
           | _ -> Alcotest.fail "quit must answer goodbye"))
+
+(* A result table is rendered straight into its frame: the bytes must
+   be exactly the frame of the rendered text, and decode back to it. *)
+let test_rows_frame_in_place () =
+  let rel =
+    Support.rel
+      [ ("a", Datatype.Int); ("b", Datatype.Str) ]
+      [ [ Support.vi 1; Support.vs "x" ]; [ Support.vnull; Support.vs "日本" ] ]
+  in
+  let body = Relation.to_string rel in
+  let frame = Wire.rows_frame rel in
+  Alcotest.(check string) "same bytes as framing the rendered text"
+    (Wire.frame (Wire.Rows { count = 2; body }))
+    frame;
+  Alcotest.(check bool) "decodes to the table" true
+    (Wire.decode_response frame.[0]
+       (String.sub frame 5 (String.length frame - 5))
+     = Wire.Rows { count = 2; body })
+
+(* A table too large for one frame is a typed failure the client can
+   read, not a frame it refuses; the connection stays in sync. *)
+let test_server_oversized_result () =
+  with_server (server_cfg ()) (fun db srv _stats ->
+      let big = Table.create "big" [ ("s", Datatype.Str) ] in
+      Table.insert big [| Value.Str (String.make Wire.max_frame 'x') |];
+      Catalog.add_table (Engine.catalog db) big;
+      with_client srv (fun c ->
+          let message =
+            expect_failed "oversized result" "result_too_large"
+              (Net_client.query c "select s from big")
+          in
+          Alcotest.(check bool) "message names the limit" true
+            (contains message (string_of_int Wire.max_frame));
+          let count, _ =
+            expect_rows "same connection afterwards"
+              (Net_client.query c "select count(*) as n from big")
+          in
+          Alcotest.(check int) "one row" 1 count))
 
 let test_server_session_isolation () =
   with_server ~tpch:0.1 (server_cfg ()) (fun _db srv _stats ->
@@ -689,11 +732,6 @@ let http_get port path =
       drain ();
       Buffer.contents buf)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 let test_server_health_and_metrics () =
   with_server (server_cfg ~http:0 ()) (fun db srv _stats ->
       Support.exec_ok db "create table ping (a int)";
@@ -732,8 +770,12 @@ let suite =
       `Quick test_admission_gate_queue_shed;
     Alcotest.test_case "admission: queue deadline sheds promptly" `Quick
       test_admission_deadline_shed;
+    Alcotest.test_case "wire: result tables are framed in place" `Quick
+      test_rows_frame_in_place;
     Alcotest.test_case "server: round-trip rows, meta, typed error classes"
       `Quick test_server_round_trip;
+    Alcotest.test_case "server: an oversized result is a typed failure"
+      `Quick test_server_oversized_result;
     Alcotest.test_case
       "server: SET, PREPARE and transactions are per-connection" `Quick
       test_server_session_isolation;

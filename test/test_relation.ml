@@ -112,6 +112,55 @@ let test_fk_metadata () =
     (Catalog.covers_primary_key cat ~table:"supplier"
        ~cols:[ "s_suppkey"; "s_name" ])
 
+(* ---------- table rendering vs the Format oracle ---------- *)
+
+module Gen = QCheck2.Gen
+
+let gen_string =
+  Gen.oneof
+    [ Gen.return ""; Gen.string_printable;
+      Gen.oneofl [ "é"; "naïve café"; "日本語"; "𝄞 clef"; "a|b"; "  " ] ]
+
+let gen_value =
+  Gen.frequency
+    [ (1, Gen.return Value.Null);
+      (2, Gen.map (fun i -> Value.Int i)
+            (Gen.oneof [ Gen.int; Gen.int_range (-999) 999 ]));
+      (1, Gen.map (fun b -> Value.Bool b) Gen.bool);
+      (2, Gen.map (fun f -> Value.Float f) Test_value.gen_float);
+      (2, Gen.map (fun s -> Value.Str s) gen_string) ]
+
+let gen_column =
+  Gen.map2
+    (fun source name -> Schema.column ?source name Datatype.Str)
+    (Gen.opt (Gen.oneofl [ "t"; "ps1"; "été" ]))
+    (Gen.oneofl [ "a"; "s_name"; "x"; "count"; "ünï"; "" ])
+
+let gen_table =
+  Gen.(
+    int_range 0 6 >>= fun ncols ->
+    pair
+      (array_size (return ncols) gen_column)
+      (list_size (int_range 0 60) (array_size (return ncols) gen_value)))
+
+let print_table (cols, rows) =
+  Render_oracle.to_string (Relation.make cols rows)
+
+let prop_render_matches_oracle =
+  QCheck2.Test.make ~count:300 ~print:print_table
+    ~name:"render is byte-identical to the Format oracle" gen_table
+    (fun (cols, rows) ->
+      let r = Relation.make cols rows in
+      let expected = Render_oracle.to_string r in
+      let len = String.length expected in
+      Relation.to_string r = expected
+      && Format.asprintf "%a" Relation.pp r = expected
+      && (match Relation.render ~reserve:9 r with
+         | Ok b ->
+             Bytes.length b = 9 + len && Bytes.sub_string b 9 len = expected
+         | Error _ -> false)
+      && Relation.render ~max_len:(len - 1) r = Error len)
+
 let suite =
   [
     Alcotest.test_case "schema find" `Quick test_schema_find;
@@ -128,3 +177,4 @@ let suite =
     Alcotest.test_case "table arity check" `Quick test_table_arity_check;
     Alcotest.test_case "foreign-key metadata" `Quick test_fk_metadata;
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_render_matches_oracle ]

@@ -70,6 +70,31 @@ let test_datatype_unify () =
   Alcotest.(check bool) "str/int do not unify" true
     (Datatype.unify Datatype.Str Datatype.Int = None)
 
+(* Random 64-bit patterns (NaNs, infinities, subnormals), plus the
+   values bit patterns almost never hit: integral floats, two-decimal
+   prices and the edges of %.12g's fixed and exponent notation. *)
+let gen_float =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map Int64.float_of_bits int64;
+      map float_of_int (oneof [ int; int_range (-99999) 99999 ]);
+      map (fun c -> float_of_int c /. 100.) (int_range (-10_000_000) 10_000_000);
+      oneofl
+        [ nan; infinity; neg_infinity; -0.0; 0.0; 5e-324;
+          2.225073858507201e-308; 1e12; -1e12; 999999999999.; 1e-4; 1e-5;
+          0.1; 1e300 ];
+    ]
+
+(* [Value.to_string] reaches the [%.12g] rule through [string_of_float];
+   every float must print as the Printf rule did. *)
+let prop_float_text_matches_printf =
+  QCheck2.Test.make ~count:20_000
+    ~name:"float text equals the %.12g rule on random bit patterns"
+    ~print:(fun f -> Int64.to_string (Int64.bits_of_float f))
+    gen_float
+    (fun f -> Value.to_string (Value.Float f) = Render_oracle.float_to_string f)
+
 let suite =
   [
     Alcotest.test_case "compare_total numeric coercion" `Quick
@@ -85,3 +110,4 @@ let suite =
     Alcotest.test_case "literal rendering" `Quick test_literal_rendering;
     Alcotest.test_case "datatype unification" `Quick test_datatype_unify;
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_float_text_matches_printf ]

@@ -14,7 +14,10 @@ let test_serializer () =
       [ Xml.element "b" [ Xml.text "x<y&z" ]; Xml.element "c" [] ]
   in
   Alcotest.(check string) "serialized"
-    "<a k=\"v\"><b>x&lt;y&amp;z</b><c/></a>" (Xml.to_string doc)
+    "<a k=\"v\"><b>x&lt;y&amp;z</b><c/></a>" (Xml.to_string doc);
+  Alcotest.(check string) "escape: leading, adjacent and trailing entities"
+    "&lt;&gt;a&amp;&quot;b&amp;" (Xml.escape "<>a&\"b&");
+  Alcotest.(check string) "escape: nothing to escape" "plain" (Xml.escape "plain")
 
 let test_canonicalize_unordered () =
   let d1 = Xml.element "a" [ Xml.element "b" []; Xml.element "c" [] ] in
